@@ -34,6 +34,7 @@ __all__ = [
     "hamiltonian_wick",
     "quadratic_energy",
     "default_dt",
+    "step_schedule",
 ]
 
 
@@ -85,6 +86,18 @@ def default_dt(n_max: int, rho: float) -> float:
     """Step size keeping the kick small against the fastest mode rotation."""
     fastest = np.sqrt(rho + 2.0 * n_max * n_max)
     return float(min(0.1 / fastest, 1e-2))
+
+
+def step_schedule(t_final: float, dt: float) -> tuple[int, float]:
+    """(whole steps of dt, final partial step) that reach t_final.
+
+    A remainder below 1e-9 dt is rounding and is dropped (returned as 0.0).
+    """
+    n_steps = int(np.floor(t_final / dt + 1e-9))
+    remainder = t_final - n_steps * dt
+    if remainder < 1e-9 * dt:
+        remainder = 0.0
+    return n_steps, remainder
 
 
 def _state_halves(s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -155,10 +168,7 @@ def evolve(s: PhaseState, t_final: float, p: DynParams, record_every: int = 1,
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     kick = force if force is not None else _wick_kick(p)
-    n_steps = int(np.floor(t_final / p.dt + 1e-9))
-    remainder = t_final - n_steps * p.dt
-    if remainder < 1e-9 * p.dt:
-        remainder = 0.0
+    n_steps, remainder = step_schedule(t_final, p.dt)
 
     u, v = _state_halves(s)
     times = [0.0]

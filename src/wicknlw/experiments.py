@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .dynamics import DynParams, IntegrationError, Trajectory, evolve
+from .dynamics import (DynParams, IntegrationError, Trajectory, evolve,
+                       step_schedule)
 from .fields import (
     SobolevNormSpec,
     SpectralField,
@@ -142,10 +143,7 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
     obs0 = observable_matrix(u, v, ctx)
     h0 = engine.hamiltonian_values(u, v, ctx)
 
-    n_steps = int(np.floor(t_final / dyn.dt + 1e-9))
-    remainder = t_final - n_steps * dyn.dt
-    if remainder < 1e-9 * dyn.dt:
-        remainder = 0.0
+    n_steps, remainder = step_schedule(t_final, dyn.dt)
     lam = dyn.lam
     kick = lambda x: lam * engine.wick_force(x, ctx)
 

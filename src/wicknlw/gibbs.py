@@ -162,99 +162,39 @@ def _integrated_autocorr(series: np.ndarray, max_lag: int | None = None) -> floa
     return float(tau)
 
 
-def _potential_batch(u_half: np.ndarray, ctx: WickContext) -> np.ndarray:
-    return engine.wick_potential_values(u_half, ctx)
-
-
-def _run_blend_chains(params: MuParams, ctx: WickContext, n_samples: int,
-                      opts: ChainOptions):
-    """Metropolis chains with free-measure-preserving blend proposals."""
+def _chain_layout(n_samples: int, opts: ChainOptions) -> tuple[int, int, int]:
+    """(chains, kept draws per chain, moves per chain) for n_samples draws."""
     n_chains = min(opts.n_chains, n_samples)
     per_chain = -(-n_samples // n_chains)  # ceil
-    moves = opts.burn_in + opts.thin * per_chain
+    return n_chains, per_chain, opts.burn_in + opts.thin * per_chain
+
+
+def _run_chains(params: MuParams, ctx: WickContext, n_samples: int,
+                opts: ChainOptions, propose):
+    """Metropolis-Hastings driver shared by the chain samplers.
+
+    ``propose(move, cur, pot_cur, rngs) -> (prop, pot_prop, log_ratio)``
+    draws the move's noise from each chain stream and returns the proposed
+    positions, their Wick potentials and the log acceptance ratios.  Each
+    chain stream then gives one uniform for the accept step, and one
+    velocity per kept draw.  Returns the kept (u, v), the potential series
+    (moves x chains) and the acceptance rate.
+    """
+    n_chains, per_chain, moves = _chain_layout(n_samples, opts)
     k = 2 * params.n_max + 1
-    nh = params.n_max + 1
-    b = opts.blend
-    keep_u = np.empty((n_chains, per_chain, k, nh), dtype=complex)
+    keep_u = np.empty((n_chains, per_chain, k, params.n_max + 1), dtype=complex)
     keep_v = np.empty_like(keep_u)
     pot_series = np.empty((moves, n_chains))
     rngs = [rng_for_sample(params.seed, c) for c in range(n_chains)]
-    cur = np.empty((n_chains, k, nh), dtype=complex)
-    for c, r in enumerate(rngs):
-        cur[c] = _chain_mu_half(r, params, want_v=False)
-    vc = _potential_batch(cur, ctx)
-    mix = math.sqrt(1.0 - b * b)
+    cur = np.stack([_chain_mu_half(r, params, want_v=False) for r in rngs])
+    pot_cur = engine.wick_potential_values(cur, ctx)
     accepted = 0
-    xi = np.empty_like(cur)
     for mv in range(moves):
-        for c, r in enumerate(rngs):
-            xi[c] = _chain_mu_half(r, params, want_v=False)
+        prop, pot_prop, log_ratio = propose(mv, cur, pot_cur, rngs)
         unif = np.array([r.uniform() for r in rngs])
-        prop = mix * cur + b * xi
-        vp = _potential_batch(prop, ctx)
-        take = np.log(unif) < vc - vp
+        take = np.log(unif) < log_ratio
         cur[take] = prop[take]
-        vc[take] = vp[take]
-        accepted += int(take.sum())
-        pot_series[mv] = vc
-        lag = mv - opts.burn_in + 1
-        if lag > 0 and lag % opts.thin == 0:
-            idx = lag // opts.thin - 1
-            if idx < per_chain:
-                for c, r in enumerate(rngs):
-                    keep_u[c, idx] = cur[c]
-                    keep_v[c, idx] = _chain_mu_half(r, params, want_v=True)[1]
-    diag = {
-        "method": "metropolis",
-        "blend": b,
-        "acceptance_rate": accepted / (moves * n_chains),
-        "n_chains": n_chains,
-        "moves_per_chain": moves,
-    }
-    return keep_u, keep_v, pot_series, diag
-
-
-def _run_hmc_chains(params: MuParams, ctx: WickContext, n_samples: int,
-                    opts: ChainOptions):
-    """Wave-flow HMC: v-refresh + Strang trajectory + energy-error accept."""
-    n_chains = min(opts.n_chains, n_samples)
-    per_chain = -(-n_samples // n_chains)
-    moves = opts.burn_in + opts.thin * per_chain
-    k = 2 * params.n_max + 1
-    nh = params.n_max + 1
-    dt = opts.traj_dt
-    if dt is None:
-        dt = opts.traj_time / 40.0
-    base_steps = max(int(round(opts.traj_time / dt)), 1)
-    sched = _scheduler_rng(params.seed)
-    lengths = base_steps + sched.integers(-opts.jitter, opts.jitter + 1,
-                                          size=moves)
-    lengths = np.maximum(lengths, 1)
-
-    keep_u = np.empty((n_chains, per_chain, k, nh), dtype=complex)
-    keep_v = np.empty_like(keep_u)
-    pot_series = np.empty((moves, n_chains))
-    rngs = [rng_for_sample(params.seed, c) for c in range(n_chains)]
-    cur = np.empty((n_chains, k, nh), dtype=complex)
-    for c, r in enumerate(rngs):
-        cur[c] = _chain_mu_half(r, params, want_v=False)
-    pot_cur = _potential_batch(cur, ctx)
-    accepted = 0
-    force = lambda u: -engine.wick_force(u, ctx)
-    v = np.empty_like(cur)
-    for mv in range(moves):
-        for c, r in enumerate(rngs):
-            v[c] = _chain_mu_half(r, params, want_v=True)[1]
-        unif = np.array([r.uniform() for r in rngs])
-        h0 = engine.quadratic_energy_values(cur, v, params.n_max, params.rho) + pot_cur
-        u_new, v_new = engine.run_steps(cur, v, params.n_max, params.rho, dt,
-                                        int(lengths[mv]), force)
-        pot_new = _potential_batch(u_new, ctx)
-        h1 = (engine.quadratic_energy_values(u_new, v_new, params.n_max,
-                                             params.rho) + pot_new)
-        take = np.log(unif) < h0 - h1
-        cur[take] = u_new[take]
-        pot_cur[take] = pot_new[take]
+        pot_cur[take] = pot_prop[take]
         accepted += int(take.sum())
         pot_series[mv] = pot_cur
         lag = mv - opts.burn_in + 1
@@ -264,15 +204,47 @@ def _run_hmc_chains(params: MuParams, ctx: WickContext, n_samples: int,
                 keep_u[:, idx] = cur
                 for c, r in enumerate(rngs):
                     keep_v[c, idx] = _chain_mu_half(r, params, want_v=True)[1]
-    diag = {
-        "method": "hmc",
-        "traj_dt": dt,
-        "traj_steps": base_steps,
-        "acceptance_rate": accepted / (moves * n_chains),
-        "n_chains": n_chains,
-        "moves_per_chain": moves,
-    }
-    return keep_u, keep_v, pot_series, diag
+    return keep_u, keep_v, pot_series, accepted / (moves * n_chains)
+
+
+def _blend_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions):
+    """Free-measure-preserving blend u' = sqrt(1 - b^2) u + b xi."""
+    b = opts.blend
+    mix = math.sqrt(1.0 - b * b)
+
+    def propose(mv, cur, pot_cur, rngs):
+        xi = np.stack([_chain_mu_half(r, params, want_v=False) for r in rngs])
+        prop = mix * cur + b * xi
+        pot_prop = engine.wick_potential_values(prop, ctx)
+        return prop, pot_prop, pot_cur - pot_prop
+
+    return propose, {"method": "metropolis", "blend": b}
+
+
+def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
+                  moves: int):
+    """Wave-flow HMC: v-refresh + Strang trajectory, ratio from the energy error."""
+    n_max, rho = params.n_max, params.rho
+    dt = opts.traj_dt
+    if dt is None:
+        dt = opts.traj_time / 40.0
+    base_steps = max(int(round(opts.traj_time / dt)), 1)
+    sched = _scheduler_rng(params.seed)
+    lengths = base_steps + sched.integers(-opts.jitter, opts.jitter + 1,
+                                          size=moves)
+    lengths = np.maximum(lengths, 1)
+    force = lambda u: -engine.wick_force(u, ctx)
+
+    def propose(mv, cur, pot_cur, rngs):
+        v = np.stack([_chain_mu_half(r, params, want_v=True)[1] for r in rngs])
+        h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
+        u_new, v_new = engine.run_steps(cur, v, n_max, rho, dt,
+                                        int(lengths[mv]), force)
+        pot_new = engine.wick_potential_values(u_new, ctx)
+        h1 = engine.quadratic_energy_values(u_new, v_new, n_max, rho) + pot_new
+        return u_new, pot_new, h0 - h1
+
+    return propose, {"method": "hmc", "traj_dt": dt, "traj_steps": base_steps}
 
 
 def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
@@ -291,19 +263,23 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
         from .free_field import sample_pair_half
 
         u, v = sample_pair_half(params, n_samples)
-        pots = _potential_batch(u, ctx)
+        pots = engine.wick_potential_values(u, ctx)
         logw = -(pots - pots.min())
         w = np.exp(logw)
         ess = float(w.sum() ** 2 / np.sum(w * w))
         diag = {"method": "importance", "ess": ess,
                 "ess_degenerate": ess < opts.ess_floor}
         return u, v, pots, diag
+    n_chains, _, moves = _chain_layout(n_samples, opts)
     if method == "metropolis":
-        ku, kv, series, diag = _run_blend_chains(params, ctx, n_samples, opts)
+        propose, diag = _blend_proposal(params, ctx, opts)
     elif method == "hmc":
-        ku, kv, series, diag = _run_hmc_chains(params, ctx, n_samples, opts)
+        propose, diag = _hmc_proposal(params, ctx, opts, moves)
     else:
         raise ValueError(f"unknown sampler method {method!r}")
+    ku, kv, series, rate = _run_chains(params, ctx, n_samples, opts, propose)
+    diag.update({"acceptance_rate": rate, "n_chains": n_chains,
+                 "moves_per_chain": moves})
     u = ku.reshape(-1, *ku.shape[2:])[:n_samples]
     v = kv.reshape(-1, *kv.shape[2:])[:n_samples]
     post = series[opts.burn_in :] if series.shape[0] > opts.burn_in else series
@@ -315,7 +291,7 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
         "ess": float(ess),
         "ess_degenerate": bool(ess < opts.ess_floor),
     })
-    pots = _potential_batch(u, ctx)
+    pots = engine.wick_potential_values(u, ctx)
     return u, v, pots, diag
 
 
@@ -349,7 +325,7 @@ def rn_moment_study(ctx_list: list[WickContext], p_list: list[float],
     for ctx in ctx_list:
         params = MuParams(ctx.n_max, ctx.rho, seed)
         u, _ = sample_pair_half(params, n_samples)
-        pots = _potential_batch(u, ctx)
+        pots = engine.wick_potential_values(u, ctx)
         for p in p_list:
             vals = np.exp(-p * pots)
             est = float(vals.mean())
