@@ -7,12 +7,10 @@ used here are real and even in n, so Hermitian symmetry is preserved
 automatically and the negative-n2 half is never materialized during a run.
 
 Nonlinear terms are evaluated pointwise on the smallest FFT-friendly
-alias-free grid for their degree; since every admissible grid yields the
-same retained Fourier coefficients exactly, the grid size is a pure speed
-knob here.  Transform scratch buffers are cached per (batch shape, grid)
-and fully overwritten on every use, so reuse never affects the numbers;
-the cache makes these kernels single-process objects (the concurrency
-model parallelizes across processes, never within one engine call).
+alias-free grid for their degree, through the transforms of
+:mod:`wicknlw.fields`; since every admissible grid yields the same
+retained Fourier coefficients exactly, the grid size is a pure speed knob
+here.
 """
 
 from __future__ import annotations
@@ -20,9 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
-from .fields import alias_free_grid, ball_mask, mode_norms_sq
+from .fields import (alias_free_grid, ball_mask, grid_from_half, half_from_grid,
+                     mode_norms_sq)
 from .wick import WickContext, hermite_values
 
 __all__ = [
@@ -52,76 +50,6 @@ def half_geometry(n_max: int, rho: float):
     return ball_h, lam_h, lam2_h, colw
 
 
-# scratch arrays keyed by (leading shape, sizes); contents are fully
-# overwritten before every use
-_scratch: dict = {}
-
-
-def _embed_buffer(shape: tuple, m_grid: int) -> np.ndarray:
-    key = ("embed", shape, m_grid)
-    buf = _scratch.get(key)
-    if buf is None:
-        buf = np.zeros(shape[:-2] + (m_grid, m_grid // 2 + 1), dtype=complex)
-        _scratch[key] = buf
-    return buf
-
-
-def _out_buffer(key_tag: str, shape: tuple) -> np.ndarray:
-    key = (key_tag, shape)
-    buf = _scratch.get(key)
-    if buf is None:
-        buf = np.empty(shape, dtype=complex)
-        _scratch[key] = buf
-    return buf
-
-
-def clear_scratch() -> None:
-    _scratch.clear()
-
-
-def _grid_values(half: np.ndarray, n_max: int, m_grid: int) -> np.ndarray:
-    """sum_n c_n e^{i n.x} on the grid; scratch-buffered embed."""
-    spec = _embed_buffer(half.shape, m_grid)
-    spec[..., : n_max + 1, : n_max + 1] = half[..., n_max:, :]
-    spec[..., m_grid - n_max :, : n_max + 1] = half[..., :n_max, :]
-    out = sfft.irfft2(spec, s=(m_grid, m_grid))
-    out *= m_grid * m_grid
-    return out
-
-
-def _half_coeffs(values: np.ndarray, n_max: int) -> np.ndarray:
-    """Ball-masked Fourier analysis back onto the half lattice."""
-    m_grid = values.shape[-1]
-    spec = sfft.rfft2(values)
-    spec *= 1.0 / (m_grid * m_grid)
-    out = _out_buffer("extract", values.shape[:-2] + (2 * n_max + 1, n_max + 1))
-    out[..., n_max:, :] = spec[..., : n_max + 1, : n_max + 1]
-    out[..., :n_max, :] = spec[..., m_grid - n_max :, : n_max + 1]
-    out *= half_geometry(n_max, 1.0)[0]
-    return out
-
-
-def _hermite_grid_inplace(g: np.ndarray, k: int, sigma: float) -> np.ndarray:
-    """H_k(g; sigma) with minimal passes; overwrites scratch, not g."""
-    if k == 2:
-        out = g * g
-        out -= sigma
-        return out
-    if k == 3:
-        out = g * g
-        out -= 3.0 * sigma
-        out *= g
-        return out
-    if k == 4:
-        g2 = g * g
-        out = g2 * g2
-        g2 *= -6.0 * sigma
-        out += g2
-        out += 3.0 * sigma * sigma
-        return out
-    return hermite_values(k, g, sigma)
-
-
 def rotate(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
            t: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact free Klein-Gordon flow by time t, mode by mode."""
@@ -138,9 +66,8 @@ def wick_force(u: np.ndarray, ctx: WickContext,
     """
     if m_grid is None:
         m_grid = alias_free_grid(ctx.n_max, 2 * ctx.m + 1)
-    g = _grid_values(u, ctx.n_max, m_grid)
-    h = _hermite_grid_inplace(g, 2 * ctx.m + 1, ctx.sigma)
-    return _half_coeffs(h, ctx.n_max)
+    g = grid_from_half(u, m_grid)
+    return half_from_grid(hermite_values(2 * ctx.m + 1, g, ctx.sigma), ctx.n_max)
 
 
 def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
@@ -148,8 +75,7 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     """One Strang segment of n_steps: half kick, rotations with interior
     full kicks (the two adjacent half kicks merged), final half kick.
 
-    ``force(u) -> array`` is the full nonlinear contribution to dv/dt; its
-    result may live in scratch storage, so it is consumed immediately.
+    ``force(u) -> array`` is the full nonlinear contribution to dv/dt.
     Inputs are not modified.
     """
     if n_steps < 1:
@@ -199,9 +125,8 @@ def wick_potential_values(u: np.ndarray, ctx: WickContext,
     deg = 2 * ctx.m + 2
     if m_grid is None:
         m_grid = alias_free_grid(ctx.n_max, deg)
-    g = _grid_values(u, ctx.n_max, m_grid)
-    h = _hermite_grid_inplace(g, deg, ctx.sigma)
-    return np.mean(h, axis=(-2, -1)) / deg
+    g = grid_from_half(u, m_grid)
+    return np.mean(hermite_values(deg, g, ctx.sigma), axis=(-2, -1)) / deg
 
 
 def wick_mass_values(u: np.ndarray, ctx: WickContext) -> np.ndarray:

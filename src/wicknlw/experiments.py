@@ -220,11 +220,7 @@ def wick_power_spectrum(z: np.ndarray, ell: int, sigma: float,
     Uses a grid large enough (M > 2 ell N) that every output mode up to
     the full support ell * N is exact.
     """
-    import scipy.fft as sfft
-
-    m_grid = sfft.next_fast_len(2 * ell * n_cut + 1, real=True)
-    m_grid = max(m_grid, 4)
-    g = grid_from_half(z, m_grid)
+    g = grid_from_half(z, alias_free_grid(n_cut, 2 * ell - 1))
     return half_from_grid(hermite_values(ell, g, sigma), ell * n_cut)
 
 
@@ -263,9 +259,7 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
 
     # memory-driven chunking; the estimators are chunk-invariant because all
     # reductions run over the concatenated per-sample arrays
-    import scipy.fft as sfft
-
-    m_big = max(sfft.next_fast_len(2 * ell_max * c + 1, real=True) for c in cuts)
+    m_big = max(alias_free_grid(c, 2 * ell_max - 1) for c in cuts)
     chunk = int(min(_SAMPLE_CHUNK, max(32, 3.0e7 // (m_big * m_big))))
 
     acc_sq = {}    # (ell, n_cut, mode) -> list of |c|^2 chunk arrays

@@ -102,7 +102,7 @@ def grid_from_half(half: np.ndarray, m_grid: int) -> np.ndarray:
     spec = np.zeros(half.shape[:-2] + (m_grid, m_grid // 2 + 1), dtype=complex)
     spec[..., : n_max + 1, : n_max + 1] = half[..., n_max:, :]
     spec[..., m_grid - n_max :, : n_max + 1] = half[..., :n_max, :]
-    return sfft.irfft2(spec, s=(m_grid, m_grid)) * (m_grid * m_grid)
+    return sfft.irfft2(spec, s=(m_grid, m_grid), norm="forward")
 
 
 def half_from_grid(values: np.ndarray, n_max: int) -> np.ndarray:
@@ -116,7 +116,7 @@ def half_from_grid(values: np.ndarray, n_max: int) -> np.ndarray:
         raise ValueError(
             f"grid size {m_grid} cannot resolve cutoff {n_max}; need M > {2 * n_max}"
         )
-    spec = sfft.rfft2(values) / (m_grid * m_grid)
+    spec = sfft.rfft2(values, norm="forward")
     half = np.empty(values.shape[:-2] + (2 * n_max + 1, n_max + 1), dtype=complex)
     half[..., n_max:, :] = spec[..., : n_max + 1, : n_max + 1]
     half[..., :n_max, :] = spec[..., m_grid - n_max :, : n_max + 1]

@@ -26,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import convolve2d
 
-from .fields import SpectralField, ball_mask, half_from_full, mode_norms_sq
+from .fields import (SpectralField, _lattice, ball_mask, half_from_full,
+                     mode_norms_sq)
 
 __all__ = [
     "MuParams",
@@ -93,7 +94,7 @@ def _hermitian_unit_gaussians(block_re: np.ndarray, block_im: np.ndarray,
     (n1 > 0, or n1 = 0 and n2 > 0); the rest is the conjugate mirror and the
     zero mode is real.
     """
-    nx, ny, ball = _geometry(n_max)
+    nx, ny, ball = _lattice(n_max)
     g = (block_re + 1j * block_im) / np.sqrt(2.0)
     out = np.zeros_like(g)
     pos = (nx > 0) | ((nx == 0) & (ny > 0))
@@ -102,13 +103,6 @@ def _hermitian_unit_gaussians(block_re: np.ndarray, block_im: np.ndarray,
     out[..., n_max, n_max] = block_re[..., n_max, n_max]
     out[..., ~ball] = 0.0
     return out
-
-
-@lru_cache(maxsize=None)
-def _geometry(n_max: int):
-    n1 = np.arange(-n_max, n_max + 1)
-    nx, ny = np.meshgrid(n1, n1, indexing="ij")
-    return nx, ny, ball_mask(n_max)
 
 
 def _sample_pair_arrays(params: MuParams, n_samples: int,

@@ -1,0 +1,88 @@
+"""Engine kernels and the fields transforms against direct trigonometric sums.
+
+The oracle evaluates sum_n c_n e^{i n.x} and the node averages
+mean_x f(x) e^{-i n.x} as explicit sums over modes and nodes, with no FFT,
+so it checks the one transform pair that every kernel runs through.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_field
+from wicknlw import WickContext, engine
+from wicknlw.fields import ball_mask, grid_from_half, half_from_full, half_from_grid
+
+N, RHO = 3, 1.0
+RTOL = 1e-10
+
+
+def _characters(n_max: int, m_grid: int) -> np.ndarray:
+    """e^{i n.x_j} with axes (j1, j2, n1, n2) on the m_grid x m_grid nodes."""
+    x = 2.0 * np.pi * np.arange(m_grid) / m_grid
+    n = np.arange(-n_max, n_max + 1)
+    e = np.exp(1j * np.outer(x, n))  # (node, mode) along one axis
+    return e[:, None, :, None] * e[None, :, None, :]
+
+
+def direct_grid(full: np.ndarray, m_grid: int) -> np.ndarray:
+    """sum_n c_n e^{i n.x} at every node, by the explicit double sum."""
+    n_max = (full.shape[-1] - 1) // 2
+    vals = np.einsum("abij,...ij->...ab", _characters(n_max, m_grid), full)
+    assert np.max(np.abs(vals.imag)) < 1e-12 * np.max(np.abs(vals.real))
+    return vals.real
+
+
+def direct_half(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Node average of f e^{-i n.x} on the ball |n| <= n_max, columns n2 >= 0."""
+    m_grid = values.shape[-1]
+    coeffs = np.einsum("abij,...ab->...ij", np.conj(_characters(n_max, m_grid)),
+                       values) / (m_grid * m_grid)
+    return half_from_full(np.where(ball_mask(n_max), coeffs, 0.0))
+
+
+def rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.fixture
+def full():
+    """A batch of two seeded random fields, as full coefficient squares."""
+    return np.stack([random_field(N, 41).coeffs, random_field(N, 42).coeffs])
+
+
+@pytest.mark.parametrize("m_grid", [7, 16])
+def test_transforms_match_trigonometric_sums(full, m_grid):
+    half = half_from_full(full)
+    g = direct_grid(full, m_grid)
+    assert rel_err(grid_from_half(half, m_grid), g) <= RTOL
+    # a non-band-limited grid function exercises the analysis on its own
+    f = np.sin(g) + g ** 2
+    assert rel_err(half_from_grid(f, N), direct_half(f, N)) <= RTOL
+    assert rel_err(half_from_grid(g, N), half) <= RTOL
+
+
+def test_wick_force_matches_trigonometric_sums(full):
+    ctx = WickContext.create(N, RHO, 1)
+    g = direct_grid(full, 16)  # M > 4N: the cubic's retained modes are exact
+    want = direct_half(g ** 3 - 3.0 * ctx.sigma * g, N)
+    assert rel_err(engine.wick_force(half_from_full(full), ctx), want) <= RTOL
+
+
+def test_wick_potential_matches_trigonometric_sums(full):
+    ctx = WickContext.create(N, RHO, 1)
+    s = ctx.sigma
+    g = direct_grid(full, 16)  # M > 5N: the quartic's mean is exact
+    want = np.mean(g ** 4 - 6.0 * s * g ** 2 + 3.0 * s * s, axis=(-2, -1)) / 4.0
+    got = engine.wick_potential_values(half_from_full(full), ctx)
+    assert rel_err(got, want) <= RTOL
+
+
+def test_wick_force_returns_fresh_arrays(full):
+    # two calls with one batch shape must not share their result's memory
+    ctx = WickContext.create(N, RHO, 1)
+    half = half_from_full(full)
+    a = engine.wick_force(half, ctx)
+    a_before = a.copy()
+    b = engine.wick_force(2.0 * half, ctx)
+    assert a is not b
+    np.testing.assert_array_equal(a, a_before)
