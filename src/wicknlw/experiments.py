@@ -20,6 +20,7 @@ from .fields import (
     SobolevNormSpec,
     SpectralField,
     alias_free_grid,
+    full_from_half,
     grid_from_half,
     half_from_grid,
     sobolev_norm,
@@ -27,6 +28,7 @@ from .fields import (
 from .free_field import (
     MuParams,
     PhaseState,
+    _block_size,
     chaos_second_moment,
     covariance_field,
     point_variance,
@@ -53,10 +55,6 @@ __all__ = [
     "UniversalityReport",
     "universality_experiment",
 ]
-
-# fixed chunk sizes keep reductions identical run to run
-_EVOLVE_CHUNK = 400
-_SAMPLE_CHUNK = 1024
 
 DEFAULT_OBSERVABLES = (
     "wick_mass",
@@ -149,8 +147,9 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
 
     ok = np.ones(n_samples, dtype=bool)
     if t_final > 0:
-        for lo in range(0, n_samples, _EVOLVE_CHUNK):
-            hi = min(lo + _EVOLVE_CHUNK, n_samples)
+        block = _block_size(alias_free_grid(ctx.n_max, 2 * ctx.m + 1) ** 2)
+        for lo in range(0, n_samples, block):
+            hi = min(lo + block, n_samples)
             uu, vv = u[lo:hi], v[lo:hi]
             if n_steps:
                 uu, vv = engine.run_steps(uu, vv, ctx.n_max, ctx.rho, dyn.dt,
@@ -247,6 +246,10 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
     estimates d(N) = E ||:z_N^ell: - :z_{2N}^ell:||_{H^{-eps_reg}} from the
     same nested samples, the refinement sequence whose decay certifies
     convergence of the renormalized powers.
+
+    Samples run in blocks sized by ``_block_size`` from the largest
+    Hermite grid, so peak memory is set by the cutoffs, not by
+    ``n_samples``; only a few scalars per sample are kept across blocks.
     """
     if ell_max < 1 or ell_max > 4:
         raise ValueError("chaos degree must be in 1..4")
@@ -257,16 +260,14 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
     cuts = sorted({*n_list, *(2 * n for n in n_list)} if cauchy else set(n_list))
     sig = {n: point_variance(n, rho) for n in cuts}
 
-    # memory-driven chunking; the estimators are chunk-invariant because all
-    # reductions run over the concatenated per-sample arrays
     m_big = max(alias_free_grid(c, 2 * ell_max - 1) for c in cuts)
-    chunk = int(min(_SAMPLE_CHUNK, max(32, 3.0e7 // (m_big * m_big))))
+    block = _block_size(m_big * m_big)
 
-    acc_sq = {}    # (ell, n_cut, mode) -> list of |c|^2 chunk arrays
+    acc_sq = {}    # (ell, n_cut, mode) -> list of |c|^2 block arrays
     acc_cross = {}
     acc_d = {}
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
+    for lo in range(0, n_samples, block):
+        hi = min(lo + block, n_samples)
         u0, v0 = sample_pair_half(params, hi - lo, start_index=lo)
         z_t, _ = engine.rotate(u0, v0, n_hi, rho, t_eval)
         spectra = {}
@@ -369,16 +370,19 @@ def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
 
     vals_x = [[] for _ in pairs]
     vals_y = [[] for _ in pairs]
-    for lo in range(0, n_samples, _SAMPLE_CHUNK):
-        hi = min(lo + _SAMPLE_CHUNK, n_samples)
+    block = _block_size(4 * (2 * n_max + 1) ** 2)
+    for lo in range(0, n_samples, block):
+        hi = min(lo + block, n_samples)
         u0, v0 = sample_pair_half(params, hi - lo, start_index=lo)
         z, _ = engine.rotate(u0, v0, n_max, rho, t_eval)
-        from .fields import full_from_half
-
         flat = full_from_half(z).reshape(hi - lo, -1)
+        if hi - lo == 1:
+            # numpy runs a one-row product through its dot kernel, which
+            # rounds differently from the matrix-vector kernel of larger blocks
+            flat = np.concatenate([flat, flat])
         for idx, (px, py) in enumerate(phases):
-            vals_x[idx].append(np.real(flat @ px) / math.sqrt(sigma))
-            vals_y[idx].append(np.real(flat @ py) / math.sqrt(sigma))
+            vals_x[idx].append(np.real(flat @ px)[: hi - lo] / math.sqrt(sigma))
+            vals_y[idx].append(np.real(flat @ py)[: hi - lo] / math.sqrt(sigma))
 
     rows = []
     for idx, (x, y) in enumerate(pairs):

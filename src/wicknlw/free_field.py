@@ -105,17 +105,48 @@ def _hermitian_unit_gaussians(block_re: np.ndarray, block_im: np.ndarray,
     return out
 
 
+# float64 values (2 MiB) held by the largest array of one block of a batched
+# sample loop; bounds the working set, so peak memory does not grow with the
+# number of samples
+_BLOCK_VALUES = 1 << 18
+
+
+def _block_size(values_per_sample: int) -> int:
+    """Samples per block whose largest array holds about _BLOCK_VALUES values.
+
+    Every batched loop reduces over concatenated per-sample arrays and
+    every FFT acts row by row, so results do not depend on the block size.
+    """
+    return max(1, _BLOCK_VALUES // values_per_sample)
+
+
+def _hermitian_draws(rngs: list[np.random.Generator], n_max: int,
+                     rows: int) -> list[np.ndarray]:
+    """One (rows, K, K) standard-normal block per stream, in stream order,
+    assembled into rows // 2 stacked Hermitian unit-Gaussian squares.
+
+    Only the draws run per stream; the assembly runs once on the batch.
+    """
+    k = 2 * n_max + 1
+    block = np.empty((len(rngs), rows, k, k))
+    for rng, out in zip(rngs, block):
+        rng.standard_normal(out=out)
+    return [_hermitian_unit_gaussians(block[:, j], block[:, j + 1], n_max)
+            for j in range(0, rows, 2)]
+
+
 def _sample_pair_arrays(params: MuParams, n_samples: int,
                         start_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Raw (u, v) coefficient squares for samples start .. start+n_samples-1."""
     k = 2 * params.n_max + 1
     u = np.empty((n_samples, k, k), dtype=complex)
-    v = np.empty((n_samples, k, k), dtype=complex)
-    amp = 1.0 / np.sqrt(params.rho + mode_norms_sq(params.n_max))
-    for i in range(n_samples):
-        block = rng_for_sample(params.seed, start_index + i).standard_normal((4, k, k))
-        u[i] = _hermitian_unit_gaussians(block[0], block[1], params.n_max) * amp
-        v[i] = _hermitian_unit_gaussians(block[2], block[3], params.n_max)
+    v = np.empty_like(u)
+    step = _block_size(4 * k * k)
+    for lo in range(0, n_samples, step):
+        hi = min(lo + step, n_samples)
+        rngs = [rng_for_sample(params.seed, start_index + i) for i in range(lo, hi)]
+        u[lo:hi], v[lo:hi] = _hermitian_draws(rngs, params.n_max, 4)
+    u *= 1.0 / np.sqrt(params.rho + mode_norms_sq(params.n_max))
     return u, v
 
 

@@ -35,7 +35,8 @@ from scipy.integrate import quad
 
 from . import engine
 from .fields import SpectralField, full_from_half, half_from_full
-from .free_field import MuParams, PhaseState, point_variance, rng_for_sample
+from .free_field import (MuParams, PhaseState, _hermitian_draws, point_variance,
+                         rng_for_sample)
 from .wick import WickContext, hermite_values, wick_power
 
 __all__ = [
@@ -118,19 +119,15 @@ def _scheduler_rng(seed: int) -> np.random.Generator:
     )
 
 
-def _chain_mu_half(rng: np.random.Generator, params: MuParams, want_v: bool):
-    """Free-measure draws from an explicit generator (chain-local stream)."""
-    from .free_field import _hermitian_unit_gaussians  # draw-order documented there
-
-    k = 2 * params.n_max + 1
-    block = rng.standard_normal((4 if want_v else 2, k, k))
+def _chain_mu_half(rngs: list[np.random.Generator], params: MuParams,
+                   want_v: bool):
+    """Stacked free-measure draws, one per chain-local stream."""
+    draws = _hermitian_draws(rngs, params.n_max, 4 if want_v else 2)
     amp = 1.0 / np.sqrt(engine.half_geometry(params.n_max, params.rho)[2])
-    u = _hermitian_unit_gaussians(block[0], block[1], params.n_max)
-    u_half = half_from_full(u) * amp
+    u_half = half_from_full(draws[0]) * amp
     if not want_v:
         return u_half
-    v = _hermitian_unit_gaussians(block[2], block[3], params.n_max)
-    return u_half, half_from_full(v)
+    return u_half, half_from_full(draws[1])
 
 
 def _split_rhat(series: np.ndarray) -> float:
@@ -186,7 +183,7 @@ def _run_chains(params: MuParams, ctx: WickContext, n_samples: int,
     keep_v = np.empty_like(keep_u)
     pot_series = np.empty((moves, n_chains))
     rngs = [rng_for_sample(params.seed, c) for c in range(n_chains)]
-    cur = np.stack([_chain_mu_half(r, params, want_v=False) for r in rngs])
+    cur = _chain_mu_half(rngs, params, want_v=False)
     pot_cur = engine.wick_potential_values(cur, ctx)
     accepted = 0
     for mv in range(moves):
@@ -202,8 +199,7 @@ def _run_chains(params: MuParams, ctx: WickContext, n_samples: int,
             idx = lag // opts.thin - 1
             if idx < per_chain:
                 keep_u[:, idx] = cur
-                for c, r in enumerate(rngs):
-                    keep_v[c, idx] = _chain_mu_half(r, params, want_v=True)[1]
+                keep_v[:, idx] = _chain_mu_half(rngs, params, want_v=True)[1]
     return keep_u, keep_v, pot_series, accepted / (moves * n_chains)
 
 
@@ -213,7 +209,7 @@ def _blend_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions):
     mix = math.sqrt(1.0 - b * b)
 
     def propose(mv, cur, pot_cur, rngs):
-        xi = np.stack([_chain_mu_half(r, params, want_v=False) for r in rngs])
+        xi = _chain_mu_half(rngs, params, want_v=False)
         prop = mix * cur + b * xi
         pot_prop = engine.wick_potential_values(prop, ctx)
         return prop, pot_prop, pot_cur - pot_prop
@@ -236,7 +232,7 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     force = lambda u: -engine.wick_force(u, ctx)
 
     def propose(mv, cur, pot_cur, rngs):
-        v = np.stack([_chain_mu_half(r, params, want_v=True)[1] for r in rngs])
+        v = _chain_mu_half(rngs, params, want_v=True)[1]
         h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
         u_new, v_new = engine.run_steps(cur, v, n_max, rho, dt,
                                         int(lengths[mv]), force)

@@ -95,6 +95,8 @@ def hermite_values(k: int, x: np.ndarray, sigma: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if k == 0:
         return np.ones_like(x)
+    if k == 1:
+        return x.copy()
     if k == 2:
         out = x * x
         out -= sigma

@@ -1,10 +1,15 @@
 """Experiment drivers: invariance, chaos moments, scaling limit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wicknlw
 from wicknlw import (
     DynParams,
     MuParams,
@@ -18,13 +23,14 @@ from wicknlw import (
     point_variance,
     universality_experiment,
 )
-from wicknlw import engine
+from wicknlw import engine, experiments, free_field
 from wicknlw.experiments import (
     DEFAULT_OBSERVABLES,
     observable_matrix,
     scaled_force_fn,
     scaled_forcing_grid,
 )
+from wicknlw.fields import alias_free_grid
 from wicknlw.free_field import sample_pair_half
 from wicknlw.gibbs import ChainOptions
 from wicknlw.wick import hermite_values
@@ -258,6 +264,83 @@ class TestEvolveScaled:
         t2 = evolve_scaled(0.5, NONLINEARITIES["sin"], 1.0, 0.02, 1e-2, seed=4,
                            n_master=4)
         np.testing.assert_array_equal(t1.final().u.coeffs, t2.final().u.coeffs)
+
+
+class TestBlockInvariance:
+    """Results must not depend on how the sample loops are blocked."""
+
+    @staticmethod
+    def _spy_blocks(monkeypatch):
+        sizes = []
+
+        def spy(params, n, start_index=0):
+            sizes.append(n)
+            return sample_pair_half(params, n, start_index)
+
+        monkeypatch.setattr(experiments, "sample_pair_half", spy)
+        return sizes
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_chaos_study(self, monkeypatch, block):
+        args = (2, [1, 2], 1.0, 0.3, 0.25, 20)
+        want = chaos_convergence_study(*args, seed=21).to_dict()
+        m_big = alias_free_grid(4, 3)  # largest cut 2 * 2, degree 2 * 2 - 1
+        monkeypatch.setattr(free_field, "_BLOCK_VALUES", block * m_big ** 2)
+        sizes = self._spy_blocks(monkeypatch)
+        assert chaos_convergence_study(*args, seed=21).to_dict() == want
+        assert max(sizes) == block and sum(sizes) == 20
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_hermite_moment_study(self, monkeypatch, block):
+        want = hermite_moment_study(3, 1.0, 3, 20, seed=22, t_eval=0.4)
+        monkeypatch.setattr(free_field, "_BLOCK_VALUES", block * 4 * 7 ** 2)
+        sizes = self._spy_blocks(monkeypatch)
+        assert hermite_moment_study(3, 1.0, 3, 20, seed=22, t_eval=0.4) == want
+        assert max(sizes) == block and sum(sizes) == 20
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_hmc_invariance_evolution(self, monkeypatch, block):
+        ctx = WickContext.create(3, 1.0, 1)
+        dyn = DynParams(ctx, 1e-2)
+        opts = ChainOptions(n_chains=4, burn_in=10, thin=2)
+        # 0.055 = 5 steps plus a partial step: both run_steps calls per block
+        want = invariance_test(dyn, 0.055, 10, seed=23, opts=opts).to_dict()
+        monkeypatch.setattr(free_field, "_BLOCK_VALUES",
+                            block * alias_free_grid(3, 3) ** 2)
+        rows = []
+        run_steps = engine.run_steps
+
+        def spy(u, *args):
+            rows.append(len(u))
+            return run_steps(u, *args)
+
+        monkeypatch.setattr(engine, "run_steps", spy)
+        assert invariance_test(dyn, 0.055, 10, seed=23, opts=opts).to_dict() == want
+        evolution = [r for r in rows if r != opts.n_chains]
+        assert max(evolution) == block and sum(evolution) == 2 * 10
+
+
+class TestBoundedMemory:
+    def test_chaos_peak_does_not_scale_with_samples(self):
+        # a fresh interpreter, so the peak RSS is this study's alone; the
+        # block rule grows it by about 25 MB, blocks of 1024 samples by 700 MB
+        script = (
+            "import resource\n"
+            "from wicknlw import chaos_convergence_study\n"
+            "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "chaos_convergence_study(3, [1, 4, 8], 1.0, 0.3, 0.25, 2048, seed=1)\n"
+            "r1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((r1 - r0) / 1024.0)\n"
+        )
+        src = str(Path(wicknlw.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=600,
+                             check=True)
+        growth_mb = float(out.stdout.split()[-1])
+        assert growth_mb <= 100.0, f"peak RSS grew by {growth_mb:.0f} MB"
 
 
 class TestUniversality:

@@ -14,8 +14,10 @@ from wicknlw import (
     sample_free_field,
     to_grid,
 )
+from wicknlw import free_field
 from wicknlw.free_field import sample_pair_half
 from wicknlw.engine import l2_norm_sq
+from wicknlw.fields import half_from_full
 
 
 class TestPointVariance:
@@ -141,6 +143,19 @@ class TestSampling:
         s = sample_free_field(MuParams(5, 1.0, seed=1), 0)
         c = s.u.coeffs
         np.testing.assert_allclose(c, np.conj(c[::-1, ::-1]), atol=0)
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_batch_matches_per_index_samples(self, monkeypatch, block):
+        # the batched assembly must reproduce each (seed, index) stream's
+        # sample bit for bit, in one block or in blocks of three
+        if block is not None:
+            monkeypatch.setattr(free_field, "_BLOCK_VALUES", block * 4 * 11 ** 2)
+        p = MuParams(5, 1.3, seed=19)
+        u, v = sample_pair_half(p, 4, start_index=6)
+        for i in range(4):
+            s = sample_free_field(p, 6 + i)
+            np.testing.assert_array_equal(u[i], half_from_full(s.u.coeffs))
+            np.testing.assert_array_equal(v[i], half_from_full(s.v.coeffs))
 
     def test_mean_l2_matches_point_variance(self):
         n, rho = 4, 1.0

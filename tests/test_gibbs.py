@@ -18,7 +18,7 @@ from wicknlw import (
     wick_mass,
     wick_potential,
 )
-from wicknlw.engine import wick_mass_values, wick_potential_values
+from wicknlw.engine import half_geometry, wick_mass_values, wick_potential_values
 from wicknlw.free_field import sample_pair_half
 
 from conftest import random_field
@@ -176,6 +176,35 @@ class TestHMC:
         i_se = math.sqrt(float(np.sum(w**2 * (i_vals - i_mean) ** 2)))
         h_se = h_vals.std(ddof=1) / math.sqrt(len(h_vals))
         assert abs(h_vals.mean() - i_mean) < 4 * math.hypot(h_se, i_se)
+
+
+class TestChainDraws:
+    @pytest.mark.parametrize("want_v", [False, True])
+    def test_stacked_draws_match_per_stream_assembly(self, want_v):
+        # one (rows, K, K) standard-normal block per chain stream, in
+        # stream order, assembled one chain at a time
+        from wicknlw.fields import half_from_full
+        from wicknlw.free_field import _hermitian_unit_gaussians, rng_for_sample
+        from wicknlw.gibbs import _chain_mu_half
+
+        n, rows = 3, 4 if want_v else 2
+        params = MuParams(n, 1.7, seed=23)
+        amp = 1.0 / np.sqrt(half_geometry(n, 1.7)[2])
+        want_u, want_vel = [], []
+        for c in range(5):
+            block = rng_for_sample(23, c).standard_normal((rows, 2 * n + 1, 2 * n + 1))
+            want_u.append(half_from_full(
+                _hermitian_unit_gaussians(block[0], block[1], n)) * amp)
+            if want_v:
+                want_vel.append(half_from_full(
+                    _hermitian_unit_gaussians(block[2], block[3], n)))
+        got = _chain_mu_half([rng_for_sample(23, c) for c in range(5)], params,
+                             want_v)
+        if want_v:
+            np.testing.assert_array_equal(got[0], np.stack(want_u))
+            np.testing.assert_array_equal(got[1], np.stack(want_vel))
+        else:
+            np.testing.assert_array_equal(got, np.stack(want_u))
 
 
 class TestSamplerConsistency:

@@ -69,6 +69,12 @@ class TestHermite:
         for k in (1, 3, 5, 7):
             assert hermite(k, 0.0, 2.7) == 0.0
 
+    def test_degree_one_is_a_copy(self):
+        x = np.linspace(-3, 3, 11)
+        h = hermite_values(1, x, 1.5)
+        np.testing.assert_array_equal(h, x)
+        assert not np.shares_memory(h, x)
+
     def test_vectorized_matches_scalar(self):
         x = np.linspace(-3, 3, 11)
         vals = hermite_values(4, x, 1.5)
