@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
-import scipy.fft as sfft
 
 from .dynamics import DynParams, IntegrationError, default_dt, evolve
 from .experiments import (
@@ -57,7 +56,6 @@ class RunConfig:
     samples: int = 1000
     seed: int = 0
     out: str = "runs"
-    workers: int = 1
     record_every: int = 0        # 0 -> auto
     init: str = "mu"             # evolve initial data: mu | zero
     dump_states: bool = False    # evolve: binary snapshots of recorded states
@@ -88,8 +86,6 @@ class RunConfig:
             raise ConfigError("dt must be positive (or omitted for the default)")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.method not in ("hmc", "metropolis", "importance"):
             raise ConfigError(f"unknown sampler method {self.method!r}")
         if self.init not in ("mu", "zero"):
@@ -185,8 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None, help="Monte Carlo samples")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="FFT worker threads for batched transforms")
 
     p = sub.add_parser("sample", help="draw free-measure samples")
     add_common(p)
@@ -420,8 +414,7 @@ def dispatch(cfg: RunConfig) -> int:
     outdir = Path(cfg.out) / cfg.subcommand
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        with sfft.set_workers(cfg.workers):
-            return _RUNNERS[cfg.subcommand](cfg, outdir)
+        return _RUNNERS[cfg.subcommand](cfg, outdir)
     except IntegrationError as exc:
         write_json_report(outdir / "error.json", _report_payload(cfg, {
             "error": "integration_failure",

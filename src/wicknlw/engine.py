@@ -6,11 +6,10 @@ axes enumerate independent Monte Carlo samples or chains.  All multipliers
 used here are real and even in n, so Hermitian symmetry is preserved
 automatically and the negative-n2 half is never materialized during a run.
 
-Nonlinear terms are evaluated pointwise on the smallest FFT-friendly
-alias-free grid for their degree, through the transforms of
-:mod:`wicknlw.fields`; since every admissible grid yields the same
-retained Fourier coefficients exactly, the grid size is a pure speed knob
-here.
+Nonlinear terms are evaluated pointwise on the smallest alias-free grid
+for their degree, through the transforms of :mod:`wicknlw.fields`; since
+every admissible grid yields the same retained Fourier coefficients
+exactly, the grid size is a pure speed knob here.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import numpy as np
 
 from .fields import (alias_free_grid, ball_mask, grid_from_half, half_from_grid,
                      mode_norms_sq)
+from .free_field import _block_size
 from .wick import WickContext, hermite_values
 
 __all__ = [
@@ -121,12 +121,16 @@ def quadratic_energy_values(u: np.ndarray, v: np.ndarray, n_max: int,
 
 def wick_potential_values(u: np.ndarray, ctx: WickContext,
                           m_grid: int | None = None) -> np.ndarray:
-    """Average of H_{2m+2}(u; sigma) over the grid, divided by 2m + 2."""
+    """Average of H_{2m+2}(u; sigma) over the grid, divided by 2m + 2,
+    in blocks of ``_block_size(M^2)`` samples."""
     deg = 2 * ctx.m + 2
     if m_grid is None:
         m_grid = alias_free_grid(ctx.n_max, deg)
-    g = grid_from_half(u, m_grid)
-    return np.mean(hermite_values(deg, g, ctx.sigma), axis=(-2, -1)) / deg
+    rows, step = u.reshape((-1,) + u.shape[-2:]), _block_size(m_grid * m_grid)
+    means = [np.mean(hermite_values(deg, grid_from_half(rows[lo : lo + step], m_grid),
+                                    ctx.sigma), axis=(-2, -1))
+             for lo in range(0, max(len(rows), 1), step)]
+    return np.concatenate(means).reshape(u.shape[:-2]) / deg
 
 
 def wick_mass_values(u: np.ndarray, ctx: WickContext) -> np.ndarray:

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 * Collocation grids are uniform M x M grids on [0, 2*pi)^2.  A grid is
   alias-free for a product of degree p of cutoff-N fields whenever
   ``M > (p + 1) * N``; helper :func:`alias_free_grid` returns the smallest
-  FFT-friendly size satisfying that bound.
+  size satisfying that bound.
+* Transforms are per-axis DFT matrix products on the stored half spectrum.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 __all__ = [
     "SpectralField",
@@ -57,22 +57,21 @@ def ball_mask(n_max: int) -> np.ndarray:
 
 
 def alias_free_grid(n_max: int, degree: int) -> int:
-    """Smallest FFT-friendly grid size M with M > (degree + 1) * n_max.
+    """Smallest grid size M > (degree + 1) * n_max (and at least 4).
 
     On such a grid the retained coefficients ``|n| <= n_max`` of a pointwise
     product of ``degree`` cutoff-n_max fields are exact (no aliased images).
-    Sizes are 5-smooth so the real transforms stay fast.
     """
-    target = (degree + 1) * n_max + 1
-    return sfft.next_fast_len(max(target, 4), real=True)
+    return max((degree + 1) * n_max + 1, 4)
 
 
 # ---------------------------------------------------------------------------
 # half-spectrum kernels
 #
-# All transforms run through the rfft half-spectrum: a Hermitian coefficient
-# square (K, K) is equivalent to its columns n2 >= 0, shape (K, n_max + 1).
-# Batched arrays carry leading dimensions untouched.
+# A Hermitian coefficient square (K, K) is equivalent to its columns n2 >= 0,
+# shape (K, n_max + 1), the half spectrum that every transform reads and
+# writes.  Batched arrays carry leading dimensions untouched, and every row
+# of a batch is computed exactly as it would be on its own.
 # ---------------------------------------------------------------------------
 
 
@@ -92,6 +91,27 @@ def full_from_half(half: np.ndarray) -> np.ndarray:
     return full
 
 
+@lru_cache(maxsize=None)
+def _dft_factors(n_max: int, m_grid: int):
+    """Per-axis DFT factors, built once per (N, M): e1[j, k] = e^{i n1_k x_j}
+    for both directions along n1, and real [cos; -sin] n2 tables acting on
+    re/im-interleaved float views, with the 2 - delta_{n2,0} half-spectrum
+    weights (synthesis) and the 1 / M^2 node average (analysis) folded in.
+    """
+    j = np.arange(m_grid)
+    n1 = np.arange(-n_max, n_max + 1)
+    n2 = np.arange(n_max + 1)
+    e1 = np.exp(2j * np.pi * (np.outer(j, n1) % m_grid) / m_grid)  # phases mod M
+    arg2 = 2.0 * np.pi * (np.outer(n2, j) % m_grid) / m_grid
+    syn2 = np.empty((2 * n_max + 2, m_grid))
+    syn2[0::2], syn2[1::2] = np.cos(arg2), -np.sin(arg2)
+    ana2 = np.ascontiguousarray(syn2.T) / (m_grid * m_grid)
+    syn2[2:] *= 2.0
+    for t in (e1, syn2, ana2):
+        t.setflags(write=False)
+    return e1, syn2, ana2
+
+
 def grid_from_half(half: np.ndarray, m_grid: int) -> np.ndarray:
     """Evaluate sum_n c_n e^{i n.x} on the M x M grid (result is real)."""
     n_max = (half.shape[-2] - 1) // 2
@@ -99,10 +119,8 @@ def grid_from_half(half: np.ndarray, m_grid: int) -> np.ndarray:
         raise ValueError(
             f"grid size {m_grid} aliases a cutoff-{n_max} field; need M > {2 * n_max}"
         )
-    spec = np.zeros(half.shape[:-2] + (m_grid, m_grid // 2 + 1), dtype=complex)
-    spec[..., : n_max + 1, : n_max + 1] = half[..., n_max:, :]
-    spec[..., m_grid - n_max :, : n_max + 1] = half[..., :n_max, :]
-    return sfft.irfft2(spec, s=(m_grid, m_grid), norm="forward")
+    e1, syn2, _ = _dft_factors(n_max, m_grid)
+    return np.matmul(np.matmul(e1, half).view(float), syn2)
 
 
 def half_from_grid(values: np.ndarray, n_max: int) -> np.ndarray:
@@ -116,13 +134,10 @@ def half_from_grid(values: np.ndarray, n_max: int) -> np.ndarray:
         raise ValueError(
             f"grid size {m_grid} cannot resolve cutoff {n_max}; need M > {2 * n_max}"
         )
-    spec = sfft.rfft2(values, norm="forward")
-    half = np.empty(values.shape[:-2] + (2 * n_max + 1, n_max + 1), dtype=complex)
-    half[..., n_max:, :] = spec[..., : n_max + 1, : n_max + 1]
-    half[..., :n_max, :] = spec[..., m_grid - n_max :, : n_max + 1]
-    _, _, ball = _lattice(n_max)
-    half *= ball[:, n_max:]
-    return half
+    e1, _, ana2 = _dft_factors(n_max, m_grid)
+    # e1^T sums e^{+i n1 x}, so its row n1 holds the coefficient of -n1
+    flipped = np.matmul(e1.T, np.matmul(values, ana2).view(complex))
+    return flipped[..., ::-1, :] * ball_mask(n_max)[:, n_max:]
 
 
 def _symmetrize(coeffs: np.ndarray) -> np.ndarray:

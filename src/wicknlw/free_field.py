@@ -115,7 +115,8 @@ def _block_size(values_per_sample: int) -> int:
     """Samples per block whose largest array holds about _BLOCK_VALUES values.
 
     Every batched loop reduces over concatenated per-sample arrays and
-    every FFT acts row by row, so results do not depend on the block size.
+    every transform acts row by row, so results do not depend on the block
+    size.
     """
     return max(1, _BLOCK_VALUES // values_per_sample)
 

@@ -60,6 +60,12 @@ class TestParseConfig:
             parse_config(["sample", "--bogus", "1"])
         assert exc.value.code == 2
 
+    def test_removed_workers_flag_exits_two(self):
+        # the FFT-thread flag is gone and is rejected like any unknown flag
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["sample", "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(subcommand="gibbs", method="nuts").validate()

@@ -1,8 +1,9 @@
 """Engine kernels and the fields transforms against direct trigonometric sums.
 
 The oracle evaluates sum_n c_n e^{i n.x} and the node averages
-mean_x f(x) e^{-i n.x} as explicit sums over modes and nodes, with no FFT,
-so it checks the one transform pair that every kernel runs through.
+mean_x f(x) e^{-i n.x} as explicit sums over modes and nodes, independently
+of the factored per-axis products in ``wicknlw.fields``, so it checks the
+one transform pair that every kernel runs through.
 """
 
 import numpy as np
@@ -50,7 +51,7 @@ def full():
     return np.stack([random_field(N, 41).coeffs, random_field(N, 42).coeffs])
 
 
-@pytest.mark.parametrize("m_grid", [7, 16])
+@pytest.mark.parametrize("m_grid", [7, 16, 33, 41])
 def test_transforms_match_trigonometric_sums(full, m_grid):
     half = half_from_full(full)
     g = direct_grid(full, m_grid)
@@ -59,6 +60,33 @@ def test_transforms_match_trigonometric_sums(full, m_grid):
     f = np.sin(g) + g ** 2
     assert rel_err(half_from_grid(f, N), direct_half(f, N)) <= RTOL
     assert rel_err(half_from_grid(g, N), half) <= RTOL
+
+
+@pytest.mark.parametrize("m_grid", [1, 4, 5])
+def test_transforms_at_zero_cutoff(m_grid):
+    # N = 0 keeps only the constant mode: a 1 x 1 half spectrum
+    full = np.array([[[1.5 + 0j]], [[-0.25 + 0j]]])
+    assert rel_err(grid_from_half(full, m_grid), direct_grid(full, m_grid)) <= RTOL
+    f = np.cos(np.arange(m_grid * m_grid).reshape(m_grid, m_grid)) + 2.0
+    assert rel_err(half_from_grid(f, 0), direct_half(f, 0)) <= RTOL
+
+
+@pytest.mark.parametrize("n_max, m_grid", [(8, 33), (16, 97), (64, 321)])
+def test_transforms_are_row_wise_across_batch_sizes(n_max, m_grid):
+    # blocked Monte Carlo loops rely on every row being computed the same
+    # way whatever else shares its call, down to the last bit
+    rng = np.random.default_rng(n_max)
+    k = 2 * n_max + 1
+    half = rng.standard_normal((202, k, n_max + 1)) + 1j * rng.standard_normal(
+        (202, k, n_max + 1))
+    half *= ball_mask(n_max)[:, n_max:]
+    back = np.stack([half_from_grid(grid_from_half(h, m_grid), n_max) for h in half])
+    for size in (1, 3, 16, 202):
+        for lo in range(0, len(half), size):
+            g = grid_from_half(half[lo : lo + size], m_grid)
+            for i, row in enumerate(g):
+                np.testing.assert_array_equal(row, grid_from_half(half[lo + i], m_grid))
+            np.testing.assert_array_equal(half_from_grid(g, n_max), back[lo : lo + size])
 
 
 def test_wick_force_matches_trigonometric_sums(full):

@@ -177,6 +177,12 @@ class TestTransforms:
         cube_ref = from_grid(type(big)(64, big.values**3), 8)
         np.testing.assert_allclose(cube.coeffs, cube_ref.coeffs, atol=1e-12)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_alias_free_grid_is_smallest(self, degree):
+        # the bound M > (p + 1) N is tight, with a floor of 4 nodes
+        for n_max in range(65):
+            assert alias_free_grid(n_max, degree) == max((degree + 1) * n_max + 1, 4)
+
 
 class TestSobolevNorm:
     def test_zero(self):
