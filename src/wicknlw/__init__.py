@@ -33,21 +33,12 @@ from .dynamics import (
     Trajectory,
     default_dt,
     evolve,
-    hamiltonian_wick,
-    linear_propagate,
-    nonlinear_force,
-    quadratic_energy,
-    step,
 )
 from .gibbs import (
     ChainOptions,
-    GibbsSample,
     importance_weights,
     rn_moment_study,
-    sample_gibbs,
     single_mode_moment_quadrature,
-    wick_mass,
-    wick_potential,
 )
 from .experiments import (
     DEFAULT_OBSERVABLES,

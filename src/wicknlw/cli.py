@@ -16,16 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine
 from .dynamics import DynParams, IntegrationError, default_dt, evolve
 from .experiments import (
     NONLINEARITIES,
     chaos_convergence_study,
     invariance_test,
+    observable_matrix,
     universality_experiment,
 )
-from .fields import SpectralField
-from .free_field import MuParams, PhaseState, sample_free_field
-from .gibbs import ChainOptions, sample_gibbs
+from .fields import SpectralField, full_from_half
+from .free_field import MuParams, _block_size, sample_pair_half
+from .gibbs import ChainOptions, sample_gibbs_arrays
 from .reporting import (
     provenance,
     trajectory_table,
@@ -248,19 +250,20 @@ def _report_payload(cfg: RunConfig, body: dict) -> dict:
 
 
 def _run_sample(cfg: RunConfig, outdir: Path) -> int:
-    from .dynamics import quadratic_energy
-
     params = MuParams(cfg.n, cfg.rho, cfg.seed)
     rows = []
-    first = None
-    for i in range(cfg.samples):
-        st = sample_free_field(params, i)
-        if first is None:
-            first = st
-        rows.append([i, st.u.l2_norm_sq(), st.v.l2_norm_sq(), quadratic_energy(st)])
+    step = _block_size(4 * (2 * cfg.n + 1) ** 2)
+    for lo in range(0, cfg.samples, step):
+        u, v = sample_pair_half(params, min(step, cfg.samples - lo), lo)
+        if lo == 0:
+            write_field_csv(SpectralField(cfg.n, full_from_half(u[0])),
+                            outdir / "field_u_0.csv")
+        cols = np.column_stack([
+            engine.l2_norm_sq(u, cfg.n), engine.l2_norm_sq(v, cfg.n),
+            engine.quadratic_energy_values(u, v, cfg.n, cfg.rho)])
+        rows += [[lo + i, *r] for i, r in enumerate(cols.tolist())]
     write_csv(outdir / "samples.csv",
               ["index", "l2_u_sq", "l2_v_sq", "quadratic_energy"], rows)
-    write_field_csv(first.u, outdir / "field_u_0.csv")
     mean_l2 = float(np.mean([r[1] for r in rows]))
     write_json_report(outdir / "report.json", _report_payload(cfg, {
         "subcommand": "sample",
@@ -275,18 +278,16 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> int:
     dt = cfg.resolved_dt()
     dyn = DynParams(ctx, dt)
     if cfg.init == "zero":
-        state = PhaseState(SpectralField.zeros(cfg.n), SpectralField.zeros(cfg.n),
-                           cfg.rho)
+        u = v = np.zeros((2 * cfg.n + 1, cfg.n + 1), dtype=complex)
     else:
-        state = sample_free_field(MuParams(cfg.n, cfg.rho, cfg.seed), 0)
+        u, v = (a[0] for a in sample_pair_half(MuParams(cfg.n, cfg.rho, cfg.seed), 1))
     rec = cfg.record_every or max(1, int(round(cfg.T / dt / 200)))
-    traj = evolve(state, cfg.T, dyn, record_every=rec)
+    traj = evolve(u, v, cfg.T, dyn, record_every=rec)
     header, rows = trajectory_table(traj, ctx)
     write_csv(outdir / "trajectory.csv", header, rows)
     if cfg.dump_states:
         np.savez(outdir / "states.npz", times=traj.times,
-                 u=np.stack([s.u.coeffs for s in traj.states]),
-                 v=np.stack([s.v.coeffs for s in traj.states]))
+                 u=full_from_half(traj.u), v=full_from_half(traj.v))
     h = [r[1] for r in rows]
     write_json_report(outdir / "report.json", _report_payload(cfg, {
         "subcommand": "evolve",
@@ -305,20 +306,14 @@ def _chain_opts(cfg: RunConfig) -> ChainOptions:
 
 
 def _run_gibbs(cfg: RunConfig, outdir: Path) -> int:
-    from .dynamics import quadratic_energy
-    from .gibbs import wick_mass
-
     ctx = WickContext.create(cfg.n, cfg.rho, cfg.m)
     params = MuParams(cfg.n, cfg.rho, cfg.seed)
-    samples, diag = sample_gibbs(params, ctx, cfg.samples, cfg.method,
-                                 _chain_opts(cfg))
-    rows = []
-    for i, s in enumerate(samples):
-        rows.append([i, s.wick_potential, s.log_density,
-                     wick_mass(s.state.u, ctx), quadratic_energy(s.state),
-                     abs(s.state.u.coeff(0, 0)) ** 2,
-                     abs(s.state.u.coeff(1, 0)) ** 2,
-                     abs(s.state.u.coeff(1, 1)) ** 2])
+    u, v, pots, diag = sample_gibbs_arrays(params, ctx, cfg.samples, cfg.method,
+                                           _chain_opts(cfg))
+    obs = observable_matrix(u, v, ctx)
+    # columns as in DEFAULT_OBSERVABLES: mass, potential, three modes, energy
+    rows = [[i, p, -p, o[0], o[5], o[2], o[3], o[4]]
+            for i, (p, o) in enumerate(zip(pots.tolist(), obs.tolist()))]
     write_csv(outdir / "gibbs_samples.csv",
               ["index", "wick_potential", "log_density", "wick_mass",
                "quadratic_energy", "mode_sq_0_0", "mode_sq_1_0", "mode_sq_1_1"],
@@ -423,6 +418,15 @@ def dispatch(cfg: RunConfig) -> int:
         }))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        # parameters that only the study itself can reject (ConfigError
+        # included), e.g. a non-decreasing eps ladder or zero chains
+        write_json_report(outdir / "error.json", _report_payload(cfg, {
+            "error": "configuration",
+            "message": str(exc),
+        }))
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main(argv: list[str] | None = None) -> int:

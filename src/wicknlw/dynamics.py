@@ -14,25 +14,18 @@ order, which is what makes the Gibbs-invariance experiments meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
-from .fields import SpectralField, from_grid, full_from_half, half_from_full
-from .free_field import PhaseState
-from .wick import WickContext, wick_power
+from .wick import WickContext
 
 __all__ = [
     "DynParams",
     "Trajectory",
     "IntegrationError",
-    "linear_propagate",
-    "nonlinear_force",
-    "step",
     "evolve",
-    "hamiltonian_wick",
-    "quadratic_energy",
     "default_dt",
     "step_schedule",
 ]
@@ -65,21 +58,23 @@ class DynParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states at strictly increasing times, constant cutoff."""
+    """Recorded states at strictly increasing times, constant cutoff.
+
+    ``u`` and ``v`` stack the recorded half-layout states, shape
+    (records, K, N+1).
+    """
 
     times: np.ndarray
-    states: list[PhaseState] = field(default_factory=list)
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
-        if len(t) != len(self.states):
+        if not len(t) == len(self.u) == len(self.v):
             raise ValueError("times and states must align")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
-
-    def final(self) -> PhaseState:
-        return self.states[-1]
 
 
 def default_dt(n_max: int, rho: float) -> float:
@@ -100,39 +95,6 @@ def step_schedule(t_final: float, dt: float) -> tuple[int, float]:
     return n_steps, remainder
 
 
-def _state_halves(s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
-    return half_from_full(s.u.coeffs), half_from_full(s.v.coeffs)
-
-
-def _state_from_halves(u: np.ndarray, v: np.ndarray, n_max: int,
-                       rho: float) -> PhaseState:
-    return PhaseState(
-        SpectralField(n_max, full_from_half(u)),
-        SpectralField(n_max, full_from_half(v)),
-        rho,
-    )
-
-
-def linear_propagate(s: PhaseState, t: float) -> PhaseState:
-    """Exact free flow: per-mode rotation by angle t <n>_rho.
-
-    Closed form, hence time-reversible to rounding and an exact isometry of
-    the quadratic energy.
-    """
-    u, v = engine.rotate(*_state_halves(s), s.n_max, s.rho, t)
-    return _state_from_halves(u, v, s.n_max, s.rho)
-
-
-def nonlinear_force(u: SpectralField, ctx: WickContext) -> SpectralField:
-    """P_N applied to the degree-(2m+1) Wick power of P_N u.
-
-    Evaluated on the context grid, so the retained coefficients are exact;
-    the output never populates modes above the context cutoff.
-    """
-    g = wick_power(u, 2 * ctx.m + 1, ctx)
-    return from_grid(g, ctx.n_max)
-
-
 def _wick_kick(p: DynParams):
     lam = p.lam
 
@@ -142,69 +104,38 @@ def _wick_kick(p: DynParams):
     return force
 
 
-def step(s: PhaseState, p: DynParams, force=None) -> PhaseState:
-    """One Strang step: half kick, exact rotation by dt, half kick.
-
-    ``force`` may replace the default Wick kick by any map u -> dv/dt
-    contribution in half-spectrum layout (used by the scaling experiments).
-    """
-    if s.n_max != p.ctx.n_max:
-        raise ValueError("state cutoff must match the context cutoff")
-    u, v = engine.run_steps(*_state_halves(s), s.n_max, s.rho, p.dt, 1,
-                            force if force is not None else _wick_kick(p))
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise IntegrationError(p.dt)
-    return _state_from_halves(u, v, s.n_max, s.rho)
-
-
-def evolve(s: PhaseState, t_final: float, p: DynParams, record_every: int = 1,
-           force=None) -> Trajectory:
-    """Integrate to t_final, recording every ``record_every`` steps plus the
+def evolve(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
+           record_every: int = 1, force=None) -> Trajectory:
+    """Integrate the half-layout state (u, v) at the context cutoff to
+    t_final, recording every ``record_every`` Strang steps plus the
     endpoints.  A final partial step with reduced dt lands within one dt of
     t_final.  Kicks interior to an unrecorded span are merged (exact in
-    exact arithmetic)."""
+    exact arithmetic).
+
+    ``force`` may replace the default Wick kick by any map u -> dv/dt
+    contribution in half layout (used by the scaling experiments).
+    """
     if t_final <= 0:
         raise ValueError("final time must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    n_max, rho = p.ctx.n_max, p.ctx.rho
+    if np.shape(u)[-2:] != (2 * n_max + 1, n_max + 1) or np.shape(v) != np.shape(u):
+        raise ValueError("state must be in the half layout of the context cutoff")
     kick = force if force is not None else _wick_kick(p)
     n_steps, remainder = step_schedule(t_final, p.dt)
-
-    u, v = _state_halves(s)
-    times = [0.0]
-    states = [s]
-    t = 0.0
-    done = 0
-    while done < n_steps:
-        span = min(record_every, n_steps - done)
-        u, v = engine.run_steps(u, v, s.n_max, s.rho, p.dt, span, kick)
-        done += span
-        t = done * p.dt
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise IntegrationError(t)
-        times.append(t)
-        states.append(_state_from_halves(u, v, s.n_max, s.rho))
+    # (step size, steps, time reached) of each recorded segment
+    segments = [(p.dt, min(record_every, n_steps - lo),
+                 min(lo + record_every, n_steps) * p.dt)
+                for lo in range(0, n_steps, record_every)]
     if remainder > 0.0:
-        u, v = engine.run_steps(u, v, s.n_max, s.rho, remainder, 1, kick)
-        t = t_final
+        segments.append((remainder, 1, t_final))
+    times, us, vs = [0.0], [u], [v]
+    for h, steps, t in segments:
+        u, v = engine.run_steps(u, v, n_max, rho, h, steps, kick)
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise IntegrationError(t)
         times.append(t)
-        states.append(_state_from_halves(u, v, s.n_max, s.rho))
-    return Trajectory(np.asarray(times), states)
-
-
-def quadratic_energy(s: PhaseState) -> float:
-    """(1/2) sum <n>_rho^2 |u_n|^2 + (1/2) sum |v_n|^2."""
-    u, v = _state_halves(s)
-    return float(engine.quadratic_energy_values(u, v, s.n_max, s.rho))
-
-
-def hamiltonian_wick(s: PhaseState, ctx: WickContext) -> float:
-    """Wick-ordered energy: quadratic part (by Parseval) plus the Wick
-    potential of degree 2m + 2 averaged over the context grid."""
-    if s.n_max != ctx.n_max:
-        raise ValueError("state cutoff must match the context cutoff")
-    ctx.grid_guard(2 * ctx.m + 2)
-    pot = wick_power(s.u, 2 * ctx.m + 2, ctx).mean()
-    return quadratic_energy(s) + pot / (2 * ctx.m + 2)
+        us.append(u)
+        vs.append(v)
+    return Trajectory(np.asarray(times), np.stack(us), np.stack(vs))

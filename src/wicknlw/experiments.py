@@ -9,7 +9,7 @@ one platform regardless of how work is chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,22 +17,18 @@ from . import engine
 from .dynamics import (DynParams, IntegrationError, Trajectory, evolve,
                        step_schedule)
 from .fields import (
-    SobolevNormSpec,
-    SpectralField,
     alias_free_grid,
     full_from_half,
     grid_from_half,
     half_from_grid,
-    sobolev_norm,
+    mode_norms_sq,
 )
 from .free_field import (
     MuParams,
-    PhaseState,
     _block_size,
     chaos_second_moment,
     covariance_field,
     point_variance,
-    sample_free_field,
     sample_pair_half,
 )
 from .gibbs import ChainOptions, sample_gibbs_arrays
@@ -129,6 +125,8 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
     """
     if t_final < 0:
         raise ValueError("final time must be nonnegative")
+    if n_samples < 2:
+        raise ValueError("need at least two samples for standard errors")
     if method == "importance" and t_final > 0:
         # the importance ensemble is weighted; the paired z-test below
         # assumes equally weighted samples
@@ -213,6 +211,16 @@ def _truncate_half(u: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
     return out
 
 
+def _half_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b in half layout, the smaller cutoff zero-padded to the larger."""
+    if a.shape[-2] < b.shape[-2]:
+        return -_half_difference(b, a)
+    n_a, n_b = (a.shape[-2] - 1) // 2, (b.shape[-2] - 1) // 2
+    out = a.copy()
+    out[..., n_a - n_b : n_a + n_b + 1, : n_b + 1] -= b
+    return out
+
+
 def wick_power_spectrum(z: np.ndarray, ell: int, sigma: float,
                         n_cut: int) -> np.ndarray:
     """Complete spectrum of H_ell(z; sigma) for cutoff-n_cut z, half layout.
@@ -254,6 +262,8 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
     """
     if ell_max < 1 or ell_max > 4:
         raise ValueError("chaos degree must be in 1..4")
+    if n_samples < 2:
+        raise ValueError("need at least two samples for standard errors")
     if list(n_list) != sorted(n_list):
         raise ValueError("cutoff list must be increasing")
     n_hi = 2 * max(n_list) if cauchy else max(n_list)
@@ -290,13 +300,13 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
                         acc_cross.setdefault(key, []).append(
                             coeffs[modes[i]] * np.conj(coeffs[modes[j]]))
                 if cauchy:
+                    # sp2 keeps the block's largest spectrum alive past the
+                    # next `spectra = {}`, so glibc does not trim the heap;
+                    # without it this loop faults pages in about 3.5x as often
                     sp2 = spectra[(ell, 2 * n_cut)]
-                    r_small, r_big = ell * n_cut, 2 * ell * n_cut
-                    diff = sp2.copy()
-                    lo_r = r_big - r_small
-                    diff[..., lo_r : lo_r + 2 * r_small + 1, : r_small + 1] -= sp
+                    diff = _half_difference(sp2, sp)
                     acc_d.setdefault((ell, n_cut), []).append(
-                        _weighted_norm(diff, r_big, -eps_reg))
+                        _weighted_norm(diff, 2 * ell * n_cut, -eps_reg))
     moment_rows = []
     for (ell, n_cut, mo), chunks in acc_sq.items():
         vals = np.concatenate(chunks)
@@ -331,8 +341,6 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
 
 def _weighted_norm(half: np.ndarray, n_max: int, s: float) -> np.ndarray:
     """Batched H^s norm (plain bracket) straight from half-layout arrays."""
-    from .fields import mode_norms_sq
-
     bracket = (1.0 + mode_norms_sq(n_max)[:, n_max:]) ** s
     colw = engine.half_geometry(n_max, 1.0)[3]
     return np.sqrt(np.sum(colw * bracket * np.abs(half) ** 2, axis=(-2, -1)))
@@ -486,14 +494,12 @@ def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
         n_master = n_cut
     if n_master < n_cut:
         raise ValueError("master cutoff must dominate the working cutoff")
-    master = sample_free_field(MuParams(n_master, rho, seed), sample_index)
-    from .fields import project
-
-    state = PhaseState(project(master.u, n_cut), project(master.v, n_cut), rho)
+    master = sample_pair_half(MuParams(n_master, rho, seed), 1, sample_index)
+    u, v = (_truncate_half(a[0], n_master, n_cut) for a in master)
     ctx = WickContext.create(n_cut, rho, 1)
     dyn = DynParams(ctx, dt, lam=f.limit_coupling)
     force = scaled_force_fn(f, eps, rho, n_cut)
-    return evolve(state, t_final, dyn, record_every=record_every, force=force)
+    return evolve(u, v, t_final, dyn, record_every=record_every, force=force)
 
 
 @dataclass
@@ -516,25 +522,12 @@ class UniversalityReport:
         return [r["sup_distance"] for r in self.rows if not r["failed"]]
 
 
-def _embed(fld: SpectralField, n_max: int) -> SpectralField:
-    if fld.n_max == n_max:
-        return fld
-    k = 2 * n_max + 1
-    c = np.zeros((k, k), dtype=complex)
-    lo = n_max - fld.n_max
-    c[lo : lo + 2 * fld.n_max + 1, lo : lo + 2 * fld.n_max + 1] = fld.coeffs
-    return SpectralField(n_max, c)
-
-
-def _sup_distance(traj_a: Trajectory, traj_b: Trajectory, n_max: int,
-                  spec: SobolevNormSpec) -> float:
+def _sup_distance(traj_a: Trajectory, traj_b: Trajectory, s: float) -> float:
+    """sup over the records of ||u_a - u_b||_{H^s} at the larger cutoff."""
     if len(traj_a.times) != len(traj_b.times):
         raise ValueError("trajectories must share recording times")
-    worst = 0.0
-    for sa, sb in zip(traj_a.states, traj_b.states):
-        diff = _embed(sa.u, n_max) - _embed(sb.u, n_max)
-        worst = max(worst, sobolev_norm(diff, spec))
-    return worst
+    diff = _half_difference(traj_a.u, traj_b.u)
+    return float(_weighted_norm(diff, (diff.shape[-2] - 1) // 2, s).max())
 
 
 def universality_experiment(f: Nonlinearity, eps_list: list[float],
@@ -559,21 +552,18 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
         n_ref = int(math.floor(1.0 / min(eps_arr)))
     if record_every is None:
         record_every = max(1, int(round(t_final / dt / 40.0)))
-    spec = SobolevNormSpec(s=s, r=2.0, rho=rho)
 
-    master = sample_free_field(MuParams(n_ref, rho, seed), 0)
+    master = sample_pair_half(MuParams(n_ref, rho, seed), 1)
 
     def reference_run(n_cut: int) -> Trajectory:
-        from .fields import project
-
-        state = PhaseState(project(master.u, n_cut), project(master.v, n_cut), rho)
+        u, v = (_truncate_half(a[0], n_ref, n_cut) for a in master)
         ctx = WickContext.create(n_cut, rho, 1)
         dyn = DynParams(ctx, dt, lam=f.limit_coupling)
-        return evolve(state, t_final, dyn, record_every=record_every)
+        return evolve(u, v, t_final, dyn, record_every=record_every)
 
     ref = reference_run(n_ref)
     ref_half = reference_run(max(n_ref // 2, 1))
-    ref_refine = _sup_distance(ref, ref_half, n_ref, spec)
+    ref_refine = _sup_distance(ref, ref_half, s)
 
     rows = []
     for eps in eps_arr:
@@ -584,7 +574,7 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
         try:
             traj = evolve_scaled(eps, f, rho, t_final, dt, seed,
                                  record_every=record_every, n_master=n_ref)
-            row["sup_distance"] = _sup_distance(traj, ref, n_ref, spec)
+            row["sup_distance"] = _sup_distance(traj, ref, s)
         except IntegrationError:
             row["failed"] = True
         rows.append(row)

@@ -1,8 +1,9 @@
-"""The truncated Gibbs measure: Wick potential, density, and exact samplers.
+"""The truncated Gibbs measure: importance weights and exact samplers.
 
 The target is the probability measure with density proportional to
-``exp(-wick_potential(u))`` relative to the free pair measure; only the
-position marginal is reweighted, the velocity stays white noise.
+``exp(-V(u))`` relative to the free pair measure, with V the Wick potential
+(:func:`wicknlw.engine.wick_potential_values`); only the position marginal
+is reweighted, the velocity stays white noise.
 
 Three samplers are provided:
 
@@ -34,36 +35,18 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import engine
-from .fields import SpectralField, full_from_half, half_from_full
-from .free_field import (MuParams, PhaseState, _hermitian_draws, point_variance,
-                         rng_for_sample)
-from .wick import WickContext, hermite_values, wick_power
+from .fields import half_from_full
+from .free_field import (MuParams, _hermitian_draws, point_variance,
+                         rng_for_sample, sample_pair_half)
+from .wick import WickContext, hermite_values
 
 __all__ = [
-    "GibbsSample",
     "ChainOptions",
-    "wick_potential",
-    "wick_mass",
-    "sample_gibbs",
     "sample_gibbs_arrays",
     "importance_weights",
     "rn_moment_study",
     "single_mode_moment_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class GibbsSample:
-    """A phase-space sample with its Wick potential and log-density w.r.t.
-    the free measure (log-density = -potential by construction)."""
-
-    state: PhaseState
-    wick_potential: float
-    log_density: float
-
-    def __post_init__(self) -> None:
-        if self.log_density != -self.wick_potential:
-            raise ValueError("log_density must equal -wick_potential")
 
 
 @dataclass(frozen=True)
@@ -93,22 +76,9 @@ class ChainOptions:
             raise ValueError("invalid chain sizing")
 
 
-def wick_potential(u: SpectralField, ctx: WickContext) -> float:
-    """(1/(2m+2)) times the integral of the degree-(2m+2) Wick power."""
-    deg = 2 * ctx.m + 2
-    return wick_power(u, deg, ctx).mean() / deg
-
-
-def wick_mass(u: SpectralField, ctx: WickContext) -> float:
-    """Integral of the Wick square; equals ||P_N u||_{L^2}^2 - sigma."""
-    return wick_power(u, 2, ctx).mean()
-
-
-def importance_weights(samples: list[GibbsSample]) -> np.ndarray:
-    """Self-normalized weights from the stored log-densities."""
-    logw = np.array([s.log_density for s in samples])
-    logw -= logw.max()
-    w = np.exp(logw)
+def importance_weights(potentials: np.ndarray) -> np.ndarray:
+    """Self-normalized weights exp(-potential) of free samples."""
+    w = np.exp(-(potentials - potentials.min()))
     return w / w.sum()
 
 
@@ -256,13 +226,10 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
         raise ValueError("need at least one sample")
     opts = opts or ChainOptions()
     if method == "importance":
-        from .free_field import sample_pair_half
-
         u, v = sample_pair_half(params, n_samples)
         pots = engine.wick_potential_values(u, ctx)
-        logw = -(pots - pots.min())
-        w = np.exp(logw)
-        ess = float(w.sum() ** 2 / np.sum(w * w))
+        w = importance_weights(pots)
+        ess = float(1.0 / np.sum(w * w))
         diag = {"method": "importance", "ess": ess,
                 "ess_degenerate": ess < opts.ess_floor}
         return u, v, pots, diag
@@ -291,22 +258,6 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
     return u, v, pots, diag
 
 
-def sample_gibbs(params: MuParams, ctx: WickContext, n_samples: int,
-                 method: str = "hmc", opts: ChainOptions | None = None,
-                 ) -> tuple[list[GibbsSample], dict]:
-    """Draw Gibbs samples; see module docstring for the available methods."""
-    u, v, pots, diag = sample_gibbs_arrays(params, ctx, n_samples, method, opts)
-    out = []
-    for i in range(n_samples):
-        state = PhaseState(
-            SpectralField(params.n_max, full_from_half(u[i])),
-            SpectralField(params.n_max, full_from_half(v[i])),
-            params.rho,
-        )
-        out.append(GibbsSample(state, float(pots[i]), -float(pots[i])))
-    return out, diag
-
-
 def rn_moment_study(ctx_list: list[WickContext], p_list: list[float],
                     n_samples: int, seed: int = 0) -> list[dict]:
     """Monte Carlo E[density^p] under the free measure, across cutoffs.
@@ -315,8 +266,6 @@ def rn_moment_study(ctx_list: list[WickContext], p_list: list[float],
     Estimates at larger cutoffs are dominated by rare deep-potential
     samples, so treat the bands qualitatively.
     """
-    from .free_field import sample_pair_half
-
     rows = []
     for ctx in ctx_list:
         params = MuParams(ctx.n_max, ctx.rho, seed)

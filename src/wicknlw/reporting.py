@@ -17,6 +17,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .experiments import observable_matrix
 from .fields import SpectralField
 
 __all__ = [
@@ -76,24 +77,13 @@ def write_csv(path: str | Path, header: list[str], rows: list) -> Path:
 
 def trajectory_table(traj, ctx) -> tuple[list[str], list[list]]:
     """(t, wick energy, quadratic energy, default observables) per record."""
-    from .dynamics import hamiltonian_wick, quadratic_energy
-    from .gibbs import wick_mass, wick_potential
-
     header = ["t", "hamiltonian_wick", "quadratic_energy", "wick_mass",
               "wick_potential", "mode_sq_0_0", "mode_sq_1_0", "mode_sq_1_1"]
-    rows = []
-    for t, s in zip(traj.times, traj.states):
-        rows.append([
-            float(t),
-            hamiltonian_wick(s, ctx),
-            quadratic_energy(s),
-            wick_mass(s.u, ctx),
-            wick_potential(s.u, ctx),
-            abs(s.u.coeff(0, 0)) ** 2,
-            abs(s.u.coeff(1, 0)) ** 2,
-            abs(s.u.coeff(1, 1)) ** 2,
-        ])
-    return header, rows
+    obs = observable_matrix(traj.u, traj.v, ctx)
+    # H = quadratic_energy + wick_potential, as in engine.hamiltonian_values
+    h = obs[:, 5] + obs[:, 1]
+    cols = np.column_stack([traj.times, h, obs[:, 5], obs[:, :5]])
+    return header, cols.tolist()
 
 
 def write_field_csv(field: SpectralField, path: str | Path) -> Path:

@@ -17,7 +17,9 @@ import pytest
 import wicknlw as w
 from wicknlw.experiments import NONLINEARITIES, scaled_forcing_grid
 from wicknlw.fields import alias_free_grid
-from wicknlw.gibbs import ChainOptions, sample_gibbs_arrays
+from wicknlw.engine import hamiltonian_values
+from wicknlw.free_field import sample_pair_half
+from wicknlw.gibbs import ChainOptions, importance_weights, sample_gibbs_arrays
 from wicknlw.wick import hermite_values
 
 from conftest import random_field
@@ -153,15 +155,14 @@ def test_criterion_05_cauchy_refinement_decay():
 @pytest.mark.slow
 def test_criterion_06_integrator_quality():
     ctx = w.WickContext.create(16, 1.0, 1)
-    samples, _ = w.sample_gibbs(w.MuParams(16, 1.0, seed=606), ctx, 1,
-                                method="hmc",
-                                opts=ChainOptions(n_chains=1, burn_in=800,
-                                                  thin=1))
-    state = samples[0].state
+    u, v, _, _ = sample_gibbs_arrays(w.MuParams(16, 1.0, seed=606), ctx, 1,
+                                     method="hmc",
+                                     opts=ChainOptions(n_chains=1, burn_in=800,
+                                                       thin=1))
 
     def drift(dt, rec):
-        traj = w.evolve(state, 1.0, w.DynParams(ctx, dt), record_every=rec)
-        h = np.array([w.hamiltonian_wick(s, ctx) for s in traj.states])
+        traj = w.evolve(u[0], v[0], 1.0, w.DynParams(ctx, dt), record_every=rec)
+        h = hamiltonian_values(traj.u, traj.v, ctx)
         return float(np.max(np.abs(h - h[0])) / (1 + abs(h[0])))
 
     d1 = drift(1e-3, 100)
@@ -187,9 +188,7 @@ def test_criterion_07_single_mode_gibbs_vs_quadrature():
 
     u_i, _, pots, diag_i = sample_gibbs_arrays(
         w.MuParams(0, rho, seed=708), ctx, 100000, method="importance")
-    logw = -(pots - pots.min())
-    wgt = np.exp(logw)
-    wgt /= wgt.sum()
+    wgt = importance_weights(pots)
     iv = u_i[:, 0, 0].real ** 2
     im = float(np.sum(wgt * iv))
     se_i = math.sqrt(float(np.sum(wgt**2 * (iv - im) ** 2)))
@@ -285,12 +284,11 @@ def test_criterion_10_determinism():
                                    -0.1, 0.1, 5e-3, seed=5)
     ok &= ua.rows == ub.rows
 
-    st = w.sample_free_field(w.MuParams(8, 1.0, seed=6), 0)
+    u8, v8 = sample_pair_half(w.MuParams(8, 1.0, seed=6), 1)
     ctx8 = w.WickContext.create(8, 1.0, 1)
-    ta = w.evolve(st, 0.1, w.DynParams(ctx8, 1e-3), record_every=20)
-    tb = w.evolve(st, 0.1, w.DynParams(ctx8, 1e-3), record_every=20)
-    ok &= all(np.array_equal(x.u.coeffs, y.u.coeffs)
-              for x, y in zip(ta.states, tb.states))
+    ta = w.evolve(u8[0], v8[0], 0.1, w.DynParams(ctx8, 1e-3), record_every=20)
+    tb = w.evolve(u8[0], v8[0], 0.1, w.DynParams(ctx8, 1e-3), record_every=20)
+    ok &= np.array_equal(ta.u, tb.u) and np.array_equal(ta.v, tb.v)
 
     report(10, "identical seeds reproduce all outputs bit-exactly", ok)
     assert ok

@@ -4,8 +4,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from wicknlw import MuParams, WickContext, sample_free_field
+from wicknlw.experiments import observable_matrix
+from wicknlw.fields import half_from_full, mode_norms_sq
 from wicknlw.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -90,14 +94,51 @@ class TestDispatch:
         assert all(float(r["quadratic_energy"]) == 0.0 for r in rows)
 
     def test_evolve_state_dump(self, tmp_path):
-        import numpy as np
-
         cfg = parse_config(["evolve", "--n", "2", "--T", "0.03", "--dt", "0.01",
                             "--dump-states", "--out", str(tmp_path)])
         assert dispatch(cfg) == EXIT_OK
         snap = np.load(tmp_path / "evolve" / "states.npz")
         assert snap["u"].shape[1:] == (5, 5)
+        assert snap["v"].shape == snap["u"].shape
         assert len(snap["times"]) == snap["u"].shape[0]
+        # full Hermitian squares: c(-n) = conj(c(n))
+        for a in (snap["u"], snap["v"]):
+            np.testing.assert_array_equal(a, np.conj(a[:, ::-1, ::-1]))
+
+    def test_sample_rows_match_per_index_draws(self, tmp_path):
+        cfg = parse_config(["sample", "--n", "3", "--samples", "7", "--rho", "1.5",
+                            "--seed", "13", "--out", str(tmp_path)])
+        assert dispatch(cfg) == EXIT_OK
+        rows = read_csv(tmp_path / "sample" / "samples.csv")
+        assert [int(r["index"]) for r in rows] == list(range(7))
+        lam2 = 1.5 + mode_norms_sq(3)
+        for r in rows:
+            st = sample_free_field(MuParams(3, 1.5, 13), int(r["index"]))
+            quad = 0.5 * np.sum(lam2 * np.abs(st.u.coeffs) ** 2
+                                + np.abs(st.v.coeffs) ** 2)
+            for key, want in (("l2_u_sq", st.u.l2_norm_sq()),
+                              ("l2_v_sq", st.v.l2_norm_sq()),
+                              ("quadratic_energy", quad)):
+                assert float(r[key]) == pytest.approx(want, rel=1e-12), key
+
+    def test_evolve_table_matches_observables(self, tmp_path):
+        cfg = parse_config(["evolve", "--n", "4", "--T", "0.05", "--dt", "0.01",
+                            "--dump-states", "--out", str(tmp_path)])
+        assert dispatch(cfg) == EXIT_OK
+        rows = read_csv(tmp_path / "evolve" / "trajectory.csv")
+        snap = np.load(tmp_path / "evolve" / "states.npz")
+        ctx = WickContext.create(4, 1.0, 1)
+        obs = observable_matrix(np.ascontiguousarray(half_from_full(snap["u"])),
+                                np.ascontiguousarray(half_from_full(snap["v"])), ctx)
+        got = np.array([[float(r[k]) for k in ("t", "hamiltonian_wick",
+                                               "quadratic_energy", "wick_mass",
+                                               "wick_potential", "mode_sq_0_0",
+                                               "mode_sq_1_0", "mode_sq_1_1")]
+                        for r in rows])
+        np.testing.assert_array_equal(got[:, 0], snap["times"])
+        np.testing.assert_allclose(got[:, 1], obs[:, 5] + obs[:, 1], rtol=1e-12)
+        np.testing.assert_allclose(got[:, 2], obs[:, 5], rtol=1e-12)
+        np.testing.assert_allclose(got[:, 3:], obs[:, :5], rtol=1e-12, atol=1e-12)
 
     def test_chaos_contains_exact_value_four(self, tmp_path):
         cfg = parse_config(["chaos", "--ell-max", "2", "--n-list", "1",
@@ -145,6 +186,27 @@ class TestDispatch:
         csv_a = (tmp_path / "a" / "gibbs" / "gibbs_samples.csv").read_bytes()
         csv_b = (tmp_path / "b" / "gibbs" / "gibbs_samples.csv").read_bytes()
         assert csv_a == csv_b
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--n", "2", "--T", "0"],
+        ["evolve", "--n", "2", "--record-every", "-1"],
+        ["gibbs", "--n", "1", "--chains", "0"],
+        ["gibbs", "--n", "1", "--thin", "0"],
+        ["universality", "--eps-list", "0.25,0.5"],
+        ["universality", "--eps-list", "a"],
+        ["universality", "--s", "0.1"],
+        ["chaos", "--ell-max", "5"],
+        ["chaos", "--n-list", "4,1"],
+        ["chaos", "--samples", "1"],
+        ["invariance", "--n", "2", "--T", "-1"],
+        ["invariance", "--n", "2", "--samples", "1", "--T", "0.01"],
+    ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+    def test_bad_study_input_exits_two_with_record(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        record = json.loads((tmp_path / argv[0] / "error.json").read_text())
+        assert record["error"] == "configuration"
+        assert record["message"]
+        assert "configuration error" in capsys.readouterr().err
 
     def test_report_echoes_resolved_config(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "run.cfg"

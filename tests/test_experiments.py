@@ -38,21 +38,25 @@ from wicknlw.wick import hermite_values
 
 class TestObservables:
     def test_matrix_matches_public_functions(self):
-        from wicknlw import PhaseState, SpectralField, quadratic_energy, wick_mass
-        from wicknlw.fields import half_from_full
+        # references on the full coefficient square: Parseval sums and the
+        # Wick power on the context grid
+        from conftest import random_field
+        from wicknlw import wick_power
+        from wicknlw.fields import half_from_full, mode_norms_sq
 
         ctx = WickContext.create(3, 1.0, 1)
-        from conftest import random_field
-
         u = random_field(3, 1)
         v = random_field(3, 2)
-        state = PhaseState(u, v, 1.0)
         mat = observable_matrix(half_from_full(u.coeffs)[None],
                                 half_from_full(v.coeffs)[None], ctx)[0]
-        assert mat[0] == pytest.approx(wick_mass(u, ctx), rel=1e-12)
+        quad = 0.5 * np.sum((1.0 + mode_norms_sq(3)) * np.abs(u.coeffs) ** 2
+                            + np.abs(v.coeffs) ** 2)
+        assert mat[0] == pytest.approx(u.l2_norm_sq() - ctx.sigma, rel=1e-12)
+        assert mat[1] == pytest.approx(wick_power(u, 4, ctx).mean() / 4, rel=1e-12)
         assert mat[2] == pytest.approx(abs(u.coeff(0, 0)) ** 2)
         assert mat[3] == pytest.approx(abs(u.coeff(1, 0)) ** 2)
-        assert mat[5] == pytest.approx(quadratic_energy(state), rel=1e-12)
+        assert mat[4] == pytest.approx(abs(u.coeff(1, 1)) ** 2)
+        assert mat[5] == pytest.approx(quad, rel=1e-12)
         assert len(mat) == len(DEFAULT_OBSERVABLES)
 
 
@@ -245,25 +249,25 @@ class TestEvolveScaled:
         assert traj.times[-1] == pytest.approx(0.05)
 
     def test_odd_nonlinearity_fixes_origin(self):
-        from wicknlw import PhaseState, SpectralField
         from wicknlw.dynamics import evolve
 
         n_cut, rho = 2, 1.0
-        state = PhaseState(SpectralField.zeros(n_cut), SpectralField.zeros(n_cut),
-                           rho)
+        zero = np.zeros((2 * n_cut + 1, n_cut + 1), dtype=complex)
         ctx = WickContext.create(n_cut, rho, 1)
         force = scaled_force_fn(NONLINEARITIES["sin"], 0.5, rho, n_cut)
         dyn = DynParams(ctx, 1e-2, lam=NONLINEARITIES["sin"].limit_coupling)
-        traj = evolve(state, 0.1, dyn, record_every=5, force=force)
-        for st in traj.states:
-            assert np.all(st.u.coeffs == 0)
+        traj = evolve(zero, zero, 0.1, dyn, record_every=5, force=force)
+        assert np.all(traj.u == 0)
 
     def test_seed_sharing_nested_data(self):
         t1 = evolve_scaled(0.5, NONLINEARITIES["sin"], 1.0, 0.02, 1e-2, seed=4,
                            n_master=4)
         t2 = evolve_scaled(0.5, NONLINEARITIES["sin"], 1.0, 0.02, 1e-2, seed=4,
                            n_master=4)
-        np.testing.assert_array_equal(t1.final().u.coeffs, t2.final().u.coeffs)
+        np.testing.assert_array_equal(t1.u, t2.u)
+        # the data are the master sample truncated to the working cutoff
+        u, _ = sample_pair_half(MuParams(4, 1.0, 4), 1)
+        np.testing.assert_array_equal(t1.u[0], experiments._truncate_half(u[0], 4, 2))
 
 
 class TestBlockInvariance:
@@ -344,6 +348,19 @@ class TestBoundedMemory:
 
 
 class TestUniversality:
+    def test_half_difference_pads_the_smaller_cutoff(self):
+        # reference: zero-pad the full coefficient squares, then subtract
+        from conftest import random_field
+        from wicknlw.fields import half_from_full
+
+        small, big = random_field(2, 7), random_field(5, 8)
+        padded = np.zeros((11, 11), dtype=complex)
+        padded[3:8, 3:8] = small.coeffs
+        want = half_from_full(big.coeffs - padded)
+        a, b = half_from_full(big.coeffs), half_from_full(small.coeffs)
+        np.testing.assert_array_equal(experiments._half_difference(a, b), want)
+        np.testing.assert_array_equal(experiments._half_difference(b, a), -want)
+
     def test_ladder_runs_and_reports(self):
         rep = universality_experiment(NONLINEARITIES["sin"], [1 / 2, 1 / 4],
                                       rho=1.0, s=-0.1, t_final=0.1, dt=5e-3,

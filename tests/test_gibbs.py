@@ -7,50 +7,58 @@ import pytest
 
 from wicknlw import (
     ChainOptions,
-    GibbsSample,
     MuParams,
     SpectralField,
     WickContext,
     importance_weights,
     rn_moment_study,
-    sample_gibbs,
     single_mode_moment_quadrature,
-    wick_mass,
-    wick_potential,
+    wick_power,
 )
-from wicknlw.engine import half_geometry, wick_mass_values, wick_potential_values
+from wicknlw.engine import (half_geometry, l2_norm_sq, wick_mass_values,
+                            wick_potential_values)
+from wicknlw.fields import full_from_half, half_from_full
 from wicknlw.free_field import sample_pair_half
+from wicknlw.gibbs import sample_gibbs_arrays
 
 from conftest import random_field
+
+
+def half(field: SpectralField) -> np.ndarray:
+    return half_from_full(field.coeffs)
 
 
 class TestPotentialAndMass:
     def test_zero_field_potential(self):
         ctx = WickContext.create(3, 1.0, 1)
-        assert wick_potential(SpectralField.zeros(3), ctx) == pytest.approx(
-            0.75 * ctx.sigma**2)
+        assert wick_potential_values(half(SpectralField.zeros(3)), ctx) == \
+            pytest.approx(0.75 * ctx.sigma**2)
 
     def test_constant_field_potential(self):
         ctx = WickContext.create(2, 1.0, 1)
         c = 1.3
         want = (c**4 - 6 * ctx.sigma * c**2 + 3 * ctx.sigma**2) / 4
-        got = wick_potential(SpectralField.from_modes(2, {(0, 0): c}), ctx)
-        assert got == pytest.approx(want)
+        u = SpectralField.from_modes(2, {(0, 0): c})
+        assert wick_potential_values(half(u), ctx) == pytest.approx(want)
+        assert wick_power(u, 4, ctx).mean() / 4 == pytest.approx(want)
 
     def test_potential_even(self):
         ctx = WickContext.create(3, 1.0, 1)
-        u = random_field(3, 4)
-        assert wick_potential(u, ctx) == pytest.approx(wick_potential(-u, ctx))
+        u = half(random_field(3, 4))
+        assert wick_potential_values(u, ctx) == pytest.approx(
+            wick_potential_values(-u, ctx))
 
     def test_zero_field_mass(self):
         ctx = WickContext.create(3, 1.0, 1)
-        assert wick_mass(SpectralField.zeros(3), ctx) == pytest.approx(-ctx.sigma)
+        assert wick_mass_values(half(SpectralField.zeros(3)), ctx) == \
+            pytest.approx(-ctx.sigma)
 
     def test_mass_equals_l2_minus_sigma(self):
         ctx = WickContext.create(4, 1.0, 1)
         u = random_field(4, 5)
-        assert wick_mass(u, ctx) == pytest.approx(
-            u.l2_norm_sq() - ctx.sigma, rel=1e-12)
+        want = u.l2_norm_sq() - ctx.sigma
+        assert wick_mass_values(half(u), ctx) == pytest.approx(want, rel=1e-12)
+        assert wick_power(u, 2, ctx).mean() == pytest.approx(want, rel=1e-12)
 
     def test_mass_mean_and_variance_under_mu(self):
         # E = 0 and Var = 2 sum <n>^{-4} (= 4 at N = 1) for the Wick square
@@ -66,46 +74,37 @@ class TestPotentialAndMass:
 
     def test_coercivity_along_rays(self):
         ctx = WickContext.create(3, 1.0, 1)
-        u = random_field(3, 6)
-        vals = [wick_potential(u * t, ctx) for t in (1.0, 2.0, 4.0, 8.0)]
+        u = half(random_field(3, 6))
+        vals = wick_potential_values(np.stack([u * t for t in (1.0, 2.0, 4.0, 8.0)]),
+                                     ctx)
         assert vals[-1] > vals[-2] > vals[-3]
         assert vals[-1] > 100 * abs(vals[0])
 
 
-class TestGibbsSampleType:
-    def test_log_density_consistency(self):
-        from wicknlw import PhaseState
-
-        s = PhaseState(SpectralField.zeros(1), SpectralField.zeros(1), 1.0)
-        GibbsSample(s, 1.5, -1.5)
-        with pytest.raises(ValueError):
-            GibbsSample(s, 1.5, -1.4)
-
-
 class TestImportance:
     def test_equal_potentials_give_uniform_weights(self):
-        from wicknlw import PhaseState
-
-        state = PhaseState(SpectralField.zeros(1), SpectralField.zeros(1), 1.0)
-        samples = [GibbsSample(state, 2.0, -2.0) for _ in range(5)]
-        np.testing.assert_allclose(importance_weights(samples), 0.2)
+        np.testing.assert_allclose(importance_weights(np.full(5, 2.0)), 0.2)
 
     def test_weights_normalized(self):
         params = MuParams(1, 1.0, seed=2)
         ctx = WickContext.create(1, 1.0, 1)
-        samples, diag = sample_gibbs(params, ctx, 500, method="importance")
-        w = importance_weights(samples)
+        _, _, pots, diag = sample_gibbs_arrays(params, ctx, 500, method="importance")
+        w = importance_weights(pots)
         assert w.sum() == pytest.approx(1.0)
         assert diag["ess"] > 1
 
     def test_log_density_matches_potential(self):
+        # log-weights are -potential up to a constant, and the potentials
+        # agree with the Wick power of each sample on the context grid
         params = MuParams(1, 1.0, seed=3)
         ctx = WickContext.create(1, 1.0, 1)
-        samples, _ = sample_gibbs(params, ctx, 20, method="importance")
-        for s in samples:
-            assert s.log_density == -s.wick_potential
-            assert s.wick_potential == pytest.approx(
-                wick_potential(s.state.u, ctx), rel=1e-12)
+        u, _, pots, _ = sample_gibbs_arrays(params, ctx, 20, method="importance")
+        logw = np.log(importance_weights(pots))
+        np.testing.assert_allclose(logw - logw[0], -(pots - pots[0]), atol=1e-12)
+        for ui, p in zip(u, pots):
+            field = SpectralField(1, full_from_half(ui))
+            assert p == pytest.approx(wick_power(field, 4, ctx).mean() / 4,
+                                      rel=1e-12)
 
 
 class TestMetropolis:
@@ -114,10 +113,10 @@ class TestMetropolis:
         oracle = single_mode_moment_quadrature(rho, m=1, moment=2)
         params = MuParams(0, rho, seed=5)
         ctx = WickContext.create(0, rho, 1)
-        samples, diag = sample_gibbs(params, ctx, 20000, method="metropolis",
-                                     opts=ChainOptions(n_chains=8, burn_in=200,
-                                                       thin=2))
-        vals = np.array([s.state.u.coeff(0, 0).real ** 2 for s in samples])
+        u, _, _, diag = sample_gibbs_arrays(params, ctx, 20000, method="metropolis",
+                                            opts=ChainOptions(n_chains=8,
+                                                              burn_in=200, thin=2))
+        vals = u[:, 0, 0].real ** 2
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         # thinned chain values are near-independent at this acceptance rate
         assert abs(vals.mean() - oracle) < 4 * se
@@ -128,10 +127,10 @@ class TestMetropolis:
         oracle = single_mode_moment_quadrature(rho, m=1, moment=2)
         params = MuParams(0, rho, seed=6)
         ctx = WickContext.create(0, rho, 1)
-        samples, diag = sample_gibbs(params, ctx, 20000, method="metropolis",
-                                     opts=ChainOptions(n_chains=8, burn_in=400,
-                                                       thin=4, blend=0.5))
-        vals = np.array([s.state.u.coeff(0, 0).real ** 2 for s in samples])
+        u, _, _, diag = sample_gibbs_arrays(params, ctx, 20000, method="metropolis",
+                                            opts=ChainOptions(n_chains=8, burn_in=400,
+                                                              thin=4, blend=0.5))
+        vals = u[:, 0, 0].real ** 2
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - oracle) < 5 * se
 
@@ -139,11 +138,10 @@ class TestMetropolis:
         params = MuParams(1, 1.0, seed=9)
         ctx = WickContext.create(1, 1.0, 1)
         opts = ChainOptions(n_chains=4, burn_in=50, thin=2)
-        a, _ = sample_gibbs(params, ctx, 50, method="metropolis", opts=opts)
-        b, _ = sample_gibbs(params, ctx, 50, method="metropolis", opts=opts)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.state.u.coeffs, sb.state.u.coeffs)
-            np.testing.assert_array_equal(sa.state.v.coeffs, sb.state.v.coeffs)
+        a = sample_gibbs_arrays(params, ctx, 50, method="metropolis", opts=opts)
+        b = sample_gibbs_arrays(params, ctx, 50, method="metropolis", opts=opts)
+        for xa, xb in zip(a[:3], b[:3]):
+            np.testing.assert_array_equal(xa, xb)
 
 
 class TestHMC:
@@ -152,10 +150,10 @@ class TestHMC:
         oracle = single_mode_moment_quadrature(rho, m=1, moment=2)
         params = MuParams(0, rho, seed=8)
         ctx = WickContext.create(0, rho, 1)
-        samples, diag = sample_gibbs(params, ctx, 10000, method="hmc",
-                                     opts=ChainOptions(n_chains=8, burn_in=100,
-                                                       thin=3))
-        vals = np.array([s.state.u.coeff(0, 0).real ** 2 for s in samples])
+        u, _, _, diag = sample_gibbs_arrays(params, ctx, 10000, method="hmc",
+                                            opts=ChainOptions(n_chains=8,
+                                                              burn_in=100, thin=3))
+        vals = u[:, 0, 0].real ** 2
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - oracle) < 5 * se
         assert diag["acceptance_rate"] > 0.5
@@ -165,13 +163,14 @@ class TestHMC:
         n, rho = 1, 1.0
         params = MuParams(n, rho, seed=31)
         ctx = WickContext.create(n, rho, 1)
-        hmc, _ = sample_gibbs(params, ctx, 4000, method="hmc",
-                              opts=ChainOptions(n_chains=16, burn_in=200, thin=4))
-        h_vals = np.array([s.state.u.l2_norm_sq() for s in hmc])
-        imp, diag = sample_gibbs(MuParams(n, rho, seed=32), ctx, 200000,
-                                 method="importance")
-        w = importance_weights(imp)
-        i_vals = np.array([s.state.u.l2_norm_sq() for s in imp])
+        u_h, _, _, _ = sample_gibbs_arrays(
+            params, ctx, 4000, method="hmc",
+            opts=ChainOptions(n_chains=16, burn_in=200, thin=4))
+        h_vals = l2_norm_sq(u_h, n)
+        u_i, _, pots, _ = sample_gibbs_arrays(MuParams(n, rho, seed=32), ctx,
+                                              200000, method="importance")
+        w = importance_weights(pots)
+        i_vals = l2_norm_sq(u_i, n)
         i_mean = float(np.sum(w * i_vals))
         i_se = math.sqrt(float(np.sum(w**2 * (i_vals - i_mean) ** 2)))
         h_se = h_vals.std(ddof=1) / math.sqrt(len(h_vals))
@@ -214,16 +213,13 @@ class TestSamplerConsistency:
         # between-chain standard errors, which stay honest under
         # within-chain correlation.
         from wicknlw.experiments import DEFAULT_OBSERVABLES, observable_matrix
-        from wicknlw.gibbs import sample_gibbs_arrays
 
         n, rho = 1, 1.0
         n_chains, per_chain = 16, 1250
         ctx = WickContext.create(n, rho, 1)
         ui, vi, pots, _ = sample_gibbs_arrays(
             MuParams(n, rho, seed=41), ctx, 150000, method="importance")
-        logw = -(pots - pots.min())
-        wgt = np.exp(logw)
-        wgt /= wgt.sum()
+        wgt = importance_weights(pots)
         mi = observable_matrix(ui, vi, ctx)
         um, vm, _, _ = sample_gibbs_arrays(
             MuParams(n, rho, seed=42), ctx, n_chains * per_chain,
