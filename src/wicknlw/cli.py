@@ -47,7 +47,7 @@ EXIT_STATISTICAL = 4
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration (validated before dispatch)."""
+    """Fully resolved run configuration (validated by dispatch)."""
 
     subcommand: str
     n: int = 8
@@ -97,10 +97,6 @@ class RunConfig:
                               f"choices: {sorted(NONLINEARITIES)}")
         if not 0 < self.blend <= 1:
             raise ConfigError("blend must lie in (0, 1]")
-        if (self.subcommand == "invariance" and self.method == "importance"
-                and self.T > 0):
-            raise ConfigError("invariance needs an unweighted sampler "
-                              "(hmc or metropolis)")
 
     def resolved_dt(self) -> float:
         return self.dt if self.dt > 0 else default_dt(self.n, self.rho)
@@ -231,7 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: list[str]) -> RunConfig:
-    """Resolve defaults < config file < flags into a validated RunConfig."""
+    """Resolve defaults < config file < flags into a RunConfig.
+
+    The values are checked by :func:`dispatch`, once the output directory
+    for the error record exists.
+    """
     ns = _build_parser().parse_args(argv)
     values = {"subcommand": ns.subcommand}
     if getattr(ns, "config", None):
@@ -240,9 +240,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         if key in ("config", "subcommand") or val is None:
             continue
         values[key] = val
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)
 
 
 def _report_payload(cfg: RunConfig, body: dict) -> dict:
@@ -405,10 +403,11 @@ _RUNNERS = {
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Run one subcommand, writing its artifacts under cfg.out."""
+    """Validate cfg and run its subcommand, writing artifacts under cfg.out."""
     outdir = Path(cfg.out) / cfg.subcommand
     outdir.mkdir(parents=True, exist_ok=True)
     try:
+        cfg.validate()
         return _RUNNERS[cfg.subcommand](cfg, outdir)
     except IntegrationError as exc:
         write_json_report(outdir / "error.json", _report_payload(cfg, {
@@ -419,8 +418,8 @@ def dispatch(cfg: RunConfig) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # parameters that only the study itself can reject (ConfigError
-        # included), e.g. a non-decreasing eps ladder or zero chains
+        # ConfigError from validate, or parameters that only the study
+        # itself can reject, e.g. a non-decreasing eps ladder or zero chains
         write_json_report(outdir / "error.json", _report_payload(cfg, {
             "error": "configuration",
             "message": str(exc),

@@ -6,10 +6,11 @@ axes enumerate independent Monte Carlo samples or chains.  All multipliers
 used here are real and even in n, so Hermitian symmetry is preserved
 automatically and the negative-n2 half is never materialized during a run.
 
-Nonlinear terms are evaluated pointwise on the smallest alias-free grid
-for their degree, through the transforms of :mod:`wicknlw.fields`; since
-every admissible grid yields the same retained Fourier coefficients
-exactly, the grid size is a pure speed knob here.
+Nonlinear terms are evaluated pointwise on the context grid
+``WickContext.m_grid`` = (2m + 2) N + 1, through the transforms of
+:mod:`wicknlw.fields`.  It is the smallest grid on which the retained modes
+of the degree-(2m+1) force are exact, and the grid mean of the
+degree-(2m+2) potential is exact on it as well.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (alias_free_grid, ball_mask, grid_from_half, half_from_grid,
-                     mode_norms_sq)
+from .fields import ball_mask, grid_from_half, half_from_grid, mode_norms_sq
 from .free_field import _block_size
 from .wick import WickContext, hermite_values
 
@@ -58,15 +58,9 @@ def rotate(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     return c * u + (s / lam) * v, -lam * s * u + c * v
 
 
-def wick_force(u: np.ndarray, ctx: WickContext,
-               m_grid: int | None = None) -> np.ndarray:
-    """P_N[H_{2m+1}(u; sigma)] in half layout (the defocusing term's magnitude).
-
-    ``m_grid`` defaults to the smallest alias-free size for degree 2m + 1.
-    """
-    if m_grid is None:
-        m_grid = alias_free_grid(ctx.n_max, 2 * ctx.m + 1)
-    g = grid_from_half(u, m_grid)
+def wick_force(u: np.ndarray, ctx: WickContext) -> np.ndarray:
+    """P_N[H_{2m+1}(u; sigma)] in half layout (the defocusing term's magnitude)."""
+    g = grid_from_half(u, ctx.m_grid)
     return half_from_grid(hermite_values(2 * ctx.m + 1, g, ctx.sigma), ctx.n_max)
 
 
@@ -119,13 +113,10 @@ def quadratic_energy_values(u: np.ndarray, v: np.ndarray, n_max: int,
                         axis=(-2, -1))
 
 
-def wick_potential_values(u: np.ndarray, ctx: WickContext,
-                          m_grid: int | None = None) -> np.ndarray:
+def wick_potential_values(u: np.ndarray, ctx: WickContext) -> np.ndarray:
     """Average of H_{2m+2}(u; sigma) over the grid, divided by 2m + 2,
     in blocks of ``_block_size(M^2)`` samples."""
-    deg = 2 * ctx.m + 2
-    if m_grid is None:
-        m_grid = alias_free_grid(ctx.n_max, deg)
+    deg, m_grid = 2 * ctx.m + 2, ctx.m_grid
     rows, step = u.reshape((-1,) + u.shape[-2:]), _block_size(m_grid * m_grid)
     means = [np.mean(hermite_values(deg, grid_from_half(rows[lo : lo + step], m_grid),
                                     ctx.sigma), axis=(-2, -1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .wick import WickContext, hermite_values
 
 __all__ = [
     "DEFAULT_OBSERVABLES",
+    "CHAOS_MODES",
     "observable_matrix",
     "InvarianceReport",
     "invariance_test",
@@ -60,6 +62,9 @@ DEFAULT_OBSERVABLES = (
     "mode_sq_1_1",
     "quadratic_energy",
 )
+
+# modes whose Wick-power coefficients chaos_convergence_study estimates
+CHAOS_MODES = ((0, 0), (1, 0), (2, 1))
 
 
 def observable_matrix(u: np.ndarray, v: np.ndarray, ctx: WickContext) -> np.ndarray:
@@ -146,7 +151,7 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
 
     ok = np.ones(n_samples, dtype=bool)
     if t_final > 0:
-        block = _block_size(alias_free_grid(ctx.n_max, 2 * ctx.m + 1) ** 2)
+        block = _block_size(ctx.m_grid ** 2)
         for lo in range(0, n_samples, block):
             hi = min(lo + block, n_samples)
             uu, vv = u[lo:hi], v[lo:hi]
@@ -244,13 +249,11 @@ def _mode_coeff(half: np.ndarray, n_max: int, mode: tuple[int, int]) -> np.ndarr
 
 def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
                             t_eval: float, eps_reg: float, n_samples: int,
-                            seed: int,
-                            modes: tuple = ((0, 0), (1, 0), (2, 1)),
-                            cauchy: bool = True) -> ChaosReport:
+                            seed: int, cauchy: bool = True) -> ChaosReport:
     """Moments of Wick powers of the free evolution against exact values.
 
     For each degree ell <= ell_max and cutoff N in n_list, estimates
-    E|<wick power, e_n>|^2 on the given mode set and the cross moments
+    E|<wick power, e_n>|^2 on the modes CHAOS_MODES and the cross moments
     between distinct modes (exactly zero in law).  With ``cauchy`` also
     estimates d(N) = E ||:z_N^ell: - :z_{2N}^ell:||_{H^{-eps_reg}} from the
     same nested samples, the refinement sequence whose decay certifies
@@ -290,15 +293,14 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
         for n_cut in n_list:
             for ell in range(1, ell_max + 1):
                 sp = spectra[(ell, n_cut)]
-                coeffs = {mo: _mode_coeff(sp, ell * n_cut, mo) for mo in modes}
-                for mo in modes:
+                coeffs = {mo: _mode_coeff(sp, ell * n_cut, mo)
+                          for mo in CHAOS_MODES}
+                for mo in CHAOS_MODES:
                     acc_sq.setdefault((ell, n_cut, mo), []).append(
                         np.abs(coeffs[mo]) ** 2)
-                for i in range(len(modes)):
-                    for j in range(i + 1, len(modes)):
-                        key = (ell, n_cut, modes[i], modes[j])
-                        acc_cross.setdefault(key, []).append(
-                            coeffs[modes[i]] * np.conj(coeffs[modes[j]]))
+                for mo_a, mo_b in combinations(CHAOS_MODES, 2):
+                    acc_cross.setdefault((ell, n_cut, mo_a, mo_b), []).append(
+                        coeffs[mo_a] * np.conj(coeffs[mo_b]))
                 if cauchy:
                     # sp2 keeps the block's largest spectrum alive past the
                     # next `spectra = {}`, so glibc does not trim the heap;
@@ -481,11 +483,10 @@ def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int):
 
 def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
                   dt: float, seed: int, record_every: int = 1,
-                  n_master: int | None = None, sample_index: int = 0,
-                  ) -> Trajectory:
+                  n_master: int | None = None) -> Trajectory:
     """Integrate the rescaled microscopic equation at cutoff floor(1/eps).
 
-    Initial data is the projection of the (seed, sample_index) free sample
+    Initial data is the projection of the first free sample under ``seed``,
     drawn at cutoff ``n_master`` (default: the working cutoff), so runs at
     different eps under one seed share nested data.
     """
@@ -494,7 +495,7 @@ def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
         n_master = n_cut
     if n_master < n_cut:
         raise ValueError("master cutoff must dominate the working cutoff")
-    master = sample_pair_half(MuParams(n_master, rho, seed), 1, sample_index)
+    master = sample_pair_half(MuParams(n_master, rho, seed), 1)
     u, v = (_truncate_half(a[0], n_master, n_cut) for a in master)
     ctx = WickContext.create(n_cut, rho, 1)
     dyn = DynParams(ctx, dt, lam=f.limit_coupling)

@@ -48,6 +48,11 @@ __all__ = [
     "single_mode_moment_quadrature",
 ]
 
+# hmc trajectories take base_steps + uniform{-_JITTER, ..., _JITTER} steps
+_JITTER = 3
+# an effective sample size below this is flagged as degenerate
+_ESS_FLOOR = 100.0
+
 
 @dataclass(frozen=True)
 class ChainOptions:
@@ -66,8 +71,6 @@ class ChainOptions:
     blend: float = 1.0
     traj_time: float = 0.6
     traj_dt: float | None = None
-    jitter: int = 3
-    ess_floor: float = 100.0
 
     def __post_init__(self) -> None:
         if not 0 < self.blend <= 1:
@@ -113,15 +116,14 @@ def _split_rhat(series: np.ndarray) -> float:
     return float(np.sqrt((w + b) / w))
 
 
-def _integrated_autocorr(series: np.ndarray, max_lag: int | None = None) -> float:
+def _integrated_autocorr(series: np.ndarray) -> float:
     """Integrated autocorrelation time of chain-averaged fluctuations."""
     x = series - series.mean(axis=0, keepdims=True)
     c0 = np.mean(x * x)
     if c0 == 0:
         return 1.0
     tau = 1.0
-    top = max_lag or x.shape[0] // 3
-    for lag in range(1, top):
+    for lag in range(1, x.shape[0] // 3):
         c = np.mean(x[:-lag] * x[lag:]) / c0
         if c < 0.02:
             break
@@ -196,8 +198,7 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
         dt = opts.traj_time / 40.0
     base_steps = max(int(round(opts.traj_time / dt)), 1)
     sched = _scheduler_rng(params.seed)
-    lengths = base_steps + sched.integers(-opts.jitter, opts.jitter + 1,
-                                          size=moves)
+    lengths = base_steps + sched.integers(-_JITTER, _JITTER + 1, size=moves)
     lengths = np.maximum(lengths, 1)
     force = lambda u: -engine.wick_force(u, ctx)
 
@@ -231,7 +232,7 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
         w = importance_weights(pots)
         ess = float(1.0 / np.sum(w * w))
         diag = {"method": "importance", "ess": ess,
-                "ess_degenerate": ess < opts.ess_floor}
+                "ess_degenerate": ess < _ESS_FLOOR}
         return u, v, pots, diag
     n_chains, _, moves = _chain_layout(n_samples, opts)
     if method == "metropolis":
@@ -252,7 +253,7 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
         "r_hat": _split_rhat(post),
         "tau_potential": tau,
         "ess": float(ess),
-        "ess_degenerate": bool(ess < opts.ess_floor),
+        "ess_degenerate": bool(ess < _ESS_FLOOR),
     })
     pots = engine.wick_potential_values(u, ctx)
     return u, v, pots, diag

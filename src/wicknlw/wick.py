@@ -4,8 +4,8 @@ The Wick power of degree k of a cutoff-N field u replaces u(x)^k by
 H_k(u(x); sigma_N) node by node, where sigma_N is the pointwise variance of
 the cutoff free field.  Renormalization is therefore a purely pointwise
 operation on collocation grids; projecting the result back to spectral
-space is the caller's job (the grid bound in :class:`WickContext` keeps the
-retained modes alias-free).
+space is the caller's job.  A degree-k power is evaluated on the smallest
+grid that keeps its retained modes alias-free, ``(k + 1) N + 1`` nodes.
 """
 
 from __future__ import annotations
@@ -39,43 +39,36 @@ class WickContext:
             the potential degree 2m + 2.
         sigma: pointwise variance of the cutoff free field; always equals
             point_variance(n_max, rho).
-        m_grid: collocation grid size.  Must exceed (2m + 2) * n_max so the
-            force is alias-free; the default also covers the degree-(2m+2)
-            potential.
+
+    The collocation grid :attr:`m_grid` follows from n_max and m; it is not
+    a setting.
     """
 
     n_max: int
     rho: float
     m: int
     sigma: float
-    m_grid: int
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("nonlinearity index m must be >= 1")
         if self.sigma != point_variance(self.n_max, self.rho):
             raise ValueError("sigma must equal the exact cutoff point variance")
-        if self.m_grid <= (2 * self.m + 2) * self.n_max:
-            raise ValueError(
-                f"grid {self.m_grid} aliases the degree-{2 * self.m + 1} force; "
-                f"need M > {(2 * self.m + 2) * self.n_max}"
-            )
+
+    @property
+    def m_grid(self) -> int:
+        """Collocation grid M = max((2m + 2) N + 1, 4) of the force and potential.
+
+        It is the smallest alias-free grid for the degree-(2m+1) force, and
+        the grid mean of the degree-(2m+2) potential is exact on it too: the
+        zero mode of that product can alias only when M <= (2m + 2) N.
+        """
+        return alias_free_grid(self.n_max, 2 * self.m + 1)
 
     @classmethod
-    def create(cls, n_max: int, rho: float, m: int = 1,
-               m_grid: int | None = None) -> "WickContext":
-        """Context with the default grid rule (alias-free through degree 2m+2)."""
-        if m_grid is None:
-            m_grid = alias_free_grid(n_max, 2 * m + 2)
-        return cls(n_max, float(rho), m, point_variance(n_max, rho), m_grid)
-
-    def grid_guard(self, degree: int) -> None:
-        """Reject grids that alias a pointwise product of this degree."""
-        if self.m_grid <= (degree + 1) * self.n_max:
-            raise ValueError(
-                f"grid {self.m_grid} aliases degree-{degree} products at "
-                f"cutoff {self.n_max}; need M > {(degree + 1) * self.n_max}"
-            )
+    def create(cls, n_max: int, rho: float, m: int = 1) -> "WickContext":
+        """Context with the exact cutoff point variance."""
+        return cls(n_max, float(rho), m, point_variance(n_max, rho))
 
 
 def hermite_values(k: int, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -126,37 +119,37 @@ def hermite(k: int, x: float, sigma: float) -> float:
 
 
 def wick_power(u: SpectralField, k: int, ctx: WickContext) -> GridField:
-    """Degree-k Wick power of the projected field, on the context grid.
+    """Degree-k Wick power of the projected field, on its alias-free grid.
 
     The value at node x_j is H_k((P_N u)(x_j); sigma); modes of u above the
     context cutoff are rejected rather than silently projected away.
     """
     if u.n_max > ctx.n_max:
         raise ValueError("field cutoff exceeds the Wick context cutoff")
-    ctx.grid_guard(k)
-    vals = to_grid(project(u, ctx.n_max), ctx.m_grid).values
-    return GridField(ctx.m_grid, hermite_values(k, vals, ctx.sigma))
+    # degree 0 still needs M > 2N to put the field on the grid
+    g = to_grid(project(u, ctx.n_max), alias_free_grid(ctx.n_max, max(k, 1)))
+    return GridField(g.m_grid, hermite_values(k, g.values, ctx.sigma))
 
 
 def wick_binomial(z: SpectralField, w: SpectralField, k: int,
                   ctx: WickContext) -> GridField:
-    """Binomial Wick expansion of :(z + w)^k: on the context grid.
+    """Binomial Wick expansion of :(z + w)^k: on the grid of :func:`wick_power`.
 
     Only the z factors carry Wick constants:
     sum_l C(k, l) * H_l(z; sigma) * w^{k - l}.
     """
     if z.n_max > ctx.n_max or w.n_max > ctx.n_max:
         raise ValueError("field cutoff exceeds the Wick context cutoff")
-    ctx.grid_guard(k)
-    zg = to_grid(project(z, ctx.n_max), ctx.m_grid).values
-    wg = to_grid(project(w, ctx.n_max), ctx.m_grid).values
+    m_grid = alias_free_grid(ctx.n_max, max(k, 1))
+    zg = to_grid(project(z, ctx.n_max), m_grid).values
+    wg = to_grid(project(w, ctx.n_max), m_grid).values
     total = np.zeros_like(zg)
     w_pow = np.ones_like(wg)
     # accumulate l = k down to 0 so w_pow builds up as w^{k-l}
     for ell in range(k, -1, -1):
         total += comb(k, ell) * hermite_values(ell, zg, ctx.sigma) * w_pow
         w_pow = w_pow * wg
-    return GridField(ctx.m_grid, total)
+    return GridField(m_grid, total)
 
 
 def scaling_identity_check(k: int, x: float, sigma: float,

@@ -16,7 +16,6 @@ import pytest
 
 import wicknlw as w
 from wicknlw.experiments import NONLINEARITIES, scaled_forcing_grid
-from wicknlw.fields import alias_free_grid
 from wicknlw.engine import hamiltonian_values
 from wicknlw.free_field import sample_pair_half
 from wicknlw.gibbs import ChainOptions, importance_weights, sample_gibbs_arrays
@@ -66,7 +65,7 @@ def test_criterion_01_hermite_algebra():
 
 
 def test_criterion_02_wick_binomial_identity():
-    ctx = w.WickContext.create(8, 1.0, 1, m_grid=alias_free_grid(8, 5))
+    ctx = w.WickContext.create(8, 1.0, 1)
     ok = True
     worst = 0.0
     for trial in range(3):

@@ -51,12 +51,13 @@ class TestParseConfig:
         cfg_file.write_text("# comment\n\nn = 4  # trailing\n")
         assert read_config_file(cfg_file) == {"n": 4}
 
-    def test_zero_mass_rejected(self):
-        with pytest.raises(ConfigError, match="rho"):
-            parse_config(["sample", "--rho", "0"])
+    def test_zero_mass_rejected(self, tmp_path):
+        assert main(["sample", "--rho", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
+        record = json.loads((tmp_path / "sample" / "error.json").read_text())
+        assert "rho" in record["message"]
 
-    def test_zero_mass_exit_code(self, capsys):
-        assert main(["sample", "--rho", "0"]) == EXIT_CONFIG
+    def test_zero_mass_exit_code(self, tmp_path, capsys):
+        assert main(["sample", "--rho", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "rho" in capsys.readouterr().err
 
     def test_unknown_flag_exits_two(self):
@@ -200,6 +201,8 @@ class TestDispatch:
         ["chaos", "--samples", "1"],
         ["invariance", "--n", "2", "--T", "-1"],
         ["invariance", "--n", "2", "--samples", "1", "--T", "0.01"],
+        ["sample", "--rho", "0"],
+        ["invariance", "--method", "importance", "--T", "1"],
     ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
     def test_bad_study_input_exits_two_with_record(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG

@@ -8,6 +8,7 @@ one transform pair that every kernel runs through.
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 
 from conftest import random_field
 from wicknlw import WickContext, engine
@@ -96,11 +97,17 @@ def test_wick_force_matches_trigonometric_sums(full):
     assert rel_err(engine.wick_force(half_from_full(full), ctx), want) <= RTOL
 
 
-def test_wick_potential_matches_trigonometric_sums(full):
-    ctx = WickContext.create(N, RHO, 1)
-    s = ctx.sigma
-    g = direct_grid(full, 16)  # M > 5N: the quartic's mean is exact
-    want = np.mean(g ** 4 - 6.0 * s * g ** 2 + 3.0 * s * s, axis=(-2, -1)) / 4.0
+@pytest.mark.parametrize("n_max", [0, 1, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_wick_potential_matches_trigonometric_sums(m, n_max):
+    # the kernel runs on the force grid (2m + 2) N + 1; the oracle on a grid
+    # twice as fine, where every mode of the degree-(2m+2) product is exact
+    ctx = WickContext.create(n_max, RHO, m)
+    deg, s = 2 * m + 2, ctx.sigma
+    full = np.stack([random_field(n_max, 41).coeffs, random_field(n_max, 42).coeffs])
+    g = direct_grid(full, 2 * deg * n_max + 5)
+    h = s ** (deg / 2) * hermeval(g / np.sqrt(s), [0.0] * deg + [1.0])
+    want = np.mean(h, axis=(-2, -1)) / deg
     got = engine.wick_potential_values(half_from_full(full), ctx)
     assert rel_err(got, want) <= RTOL
 

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from wicknlw import (
     SpectralField,
     WickContext,
+    engine,
+    from_grid,
     hermite,
     hermite_values,
-    point_variance,
     scaling_identity_check,
     to_grid,
     wick_binomial,
     wick_power,
 )
+from wicknlw.fields import half_from_full
 from conftest import random_field
 
 xs = st.floats(min_value=-5.0, max_value=5.0)
@@ -103,21 +105,13 @@ class TestHermite:
 class TestWickContext:
     def test_sigma_must_be_exact(self):
         with pytest.raises(ValueError, match="sigma"):
-            WickContext(4, 1.0, 1, 3.14, 32)
-
-    def test_grid_invariant(self):
-        with pytest.raises(ValueError, match="alias"):
-            WickContext(4, 1.0, 1, point_variance(4, 1.0), 16)
+            WickContext(4, 1.0, 1, 3.14)
 
     def test_create_covers_potential_degree(self):
+        # the force grid 4N + 1 also resolves the quartic potential's mean
         ctx = WickContext.create(8, 1.0, 1)
-        assert ctx.m_grid > 5 * 8
-        ctx.grid_guard(4)
-
-    def test_grid_guard(self):
-        ctx = WickContext.create(4, 1.0, 1)
-        with pytest.raises(ValueError):
-            ctx.grid_guard(2 * ctx.m + 3)
+        assert ctx.m_grid == 33
+        assert ctx.m_grid > (2 * ctx.m + 2) * ctx.n_max
 
 
 class TestWickPower:
@@ -142,6 +136,19 @@ class TestWickPower:
         with pytest.raises(ValueError):
             wick_power(random_field(3, 0), 2, ctx)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_grid_is_smallest_alias_free(self, k):
+        ctx = WickContext.create(8, 1.0, 1)
+        assert wick_power(random_field(8, 1), k, ctx).m_grid == (k + 1) * 8 + 1
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_force_degree_matches_engine_force(self, m):
+        ctx = WickContext.create(4, 1.0, m)
+        u = random_field(4, 9)
+        got = half_from_full(from_grid(wick_power(u, 2 * m + 1, ctx), 4).coeffs)
+        want = engine.wick_force(half_from_full(u.coeffs), ctx)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestWickBinomial:
     def test_w_zero_reduces_to_wick_power(self):
@@ -156,13 +163,13 @@ class TestWickBinomial:
         ctx = WickContext.create(3, 1.0, 1)
         w = random_field(3, 5)
         got = wick_binomial(SpectralField.zeros(3), w, 3, ctx)
-        wg = to_grid(w, ctx.m_grid).values
+        wg = to_grid(w, got.m_grid).values
         want = wg**3 + 3 * (-ctx.sigma) * wg  # C(3,2) H_2(0) w = 3(-sigma)w
         np.testing.assert_allclose(got.values, want, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_wick_power_of_sum(self, k):
-        ctx = WickContext.create(4, 1.0, 1, m_grid=32)
+        ctx = WickContext.create(4, 1.0, 1)
         z, w = random_field(4, 6), random_field(4, 7)
         got = wick_binomial(z, w, k, ctx).values
         want = wick_power(z + w, k, ctx).values
