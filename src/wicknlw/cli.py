@@ -1,17 +1,21 @@
 """Command-line driver: configuration, seeding, dispatch, result emission.
 
 Subcommands: sample | evolve | gibbs | invariance | chaos | universality.
-Configuration comes from ``key = value`` lines in an optional ``--config``
-file, overridden by command-line flags; the fully resolved configuration is
-echoed into every JSON report.  Exit codes: 0 success / statistical PASS,
-2 configuration error, 3 numerical failure, 4 statistical FAIL.
+Every run setting is one :class:`RunConfig` field.  Its key is accepted in
+``key = value`` lines of an optional ``--config`` file, and its flag
+``--key`` (``_`` written as ``-``; ``--no-key`` for a setting that is on
+by default) by the subcommands that ``_SUBCOMMANDS`` lists it for.  Flags
+override the file; :meth:`RunConfig.validate` checks the resolved values,
+and the fully resolved configuration is echoed into every JSON report.
+Exit codes: 0 success / statistical PASS, 2 configuration error, 3
+numerical failure, 4 statistical FAIL.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -45,22 +49,28 @@ EXIT_NUMERICAL = 3
 EXIT_STATISTICAL = 4
 
 
+def _setting(default, help_text: str):
+    """A RunConfig field whose flag shows ``help_text`` in ``--help``."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run configuration (validated by dispatch)."""
 
     subcommand: str
-    n: int = 8
-    rho: float = 1.0
-    m: int = 1
-    dt: float = 0.0              # 0 -> derived default
-    T: float = 1.0
-    samples: int = 1000
-    seed: int = 0
-    out: str = "runs"
+    n: int = _setting(8, "spectral cutoff")
+    rho: float = _setting(1.0, "mass parameter")
+    m: int = _setting(1, "nonlinearity index")
+    dt: float = _setting(0.0, "time step")      # 0 -> derived default
+    T: float = _setting(1.0, "final time")
+    samples: int = _setting(1000, "Monte Carlo samples")
+    seed: int = _setting(0, "master RNG seed")
+    out: str = _setting("runs", "output directory")
     record_every: int = 0        # 0 -> auto
     init: str = "mu"             # evolve initial data: mu | zero
-    dump_states: bool = False    # evolve: binary snapshots of recorded states
+    dump_states: bool = _setting(False,
+                                 "also write recorded states to states.npz")
     method: str = "hmc"          # gibbs sampler method
     chains: int = 32
     burn_in: int = 400
@@ -121,23 +131,35 @@ class ConfigError(ValueError):
     pass
 
 
-_BOOL_KEYS = {"cauchy", "dump_states"}
+_COMMON_KEYS = ("n", "rho", "m", "dt", "T", "samples", "seed", "out")
+_SAMPLER_KEYS = ("method", "chains", "burn_in", "thin", "blend")
+# subcommand -> (help text, the RunConfig keys it takes besides _COMMON_KEYS)
+_SUBCOMMANDS = {
+    "sample": ("draw free-measure samples", ()),
+    "evolve": ("integrate one trajectory",
+               ("record_every", "init", "dump_states")),
+    "gibbs": ("sample the truncated Gibbs measure", _SAMPLER_KEYS),
+    "invariance": ("Gibbs invariance z-test",
+                   _SAMPLER_KEYS + ("drift_tol", "z_threshold")),
+    "chaos": ("Wiener chaos moment study",
+              ("ell_max", "n_list", "t_eval", "eps_reg", "cauchy")),
+    "universality": ("weak-universality scaling ladder",
+                     ("eps_list", "s", "f")),
+}
+# field annotation -> parser of a flag or config-file value
+_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _parse_value(key: str, raw: str):
-    target = RunConfig.__dataclass_fields__[key].type
+    kind = RunConfig.__dataclass_fields__[key].type
     raw = raw.strip()
-    if key in _BOOL_KEYS:
+    if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"bad boolean for {key}: {raw!r}")
-    if target == "int":
-        return int(raw)
-    if target == "float":
-        return float(raw)
-    return raw
+    return _TYPES[kind](raw)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -167,62 +189,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Wick-ordered NLW simulation and verification experiments",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    known = RunConfig.__dataclass_fields__
+    for name, (help_text, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None,
                        help="plain-text key = value configuration file")
-        p.add_argument("--n", type=int, default=None, help="spectral cutoff")
-        p.add_argument("--rho", type=float, default=None, help="mass parameter")
-        p.add_argument("--m", type=int, default=None, help="nonlinearity index")
-        p.add_argument("--dt", type=float, default=None, help="time step")
-        p.add_argument("--T", dest="T", type=float, default=None, help="final time")
-        p.add_argument("--samples", type=int, default=None, help="Monte Carlo samples")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-
-    p = sub.add_parser("sample", help="draw free-measure samples")
-    add_common(p)
-
-    p = sub.add_parser("evolve", help="integrate one trajectory")
-    add_common(p)
-    p.add_argument("--record-every", dest="record_every", type=int, default=None)
-    p.add_argument("--init", type=str, default=None, choices=("mu", "zero"))
-    p.add_argument("--dump-states", dest="dump_states", action="store_true",
-                   default=None, help="also write recorded states to states.npz")
-
-    p = sub.add_parser("gibbs", help="sample the truncated Gibbs measure")
-    add_common(p)
-    p.add_argument("--method", type=str, default=None,
-                   choices=("hmc", "metropolis", "importance"))
-    p.add_argument("--chains", type=int, default=None)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--blend", type=float, default=None)
-
-    p = sub.add_parser("invariance", help="Gibbs invariance z-test")
-    add_common(p)
-    p.add_argument("--method", type=str, default=None,
-                   choices=("hmc", "metropolis", "importance"))
-    p.add_argument("--chains", type=int, default=None)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--blend", type=float, default=None)
-    p.add_argument("--drift-tol", dest="drift_tol", type=float, default=None)
-    p.add_argument("--z-threshold", dest="z_threshold", type=float, default=None)
-
-    p = sub.add_parser("chaos", help="Wiener chaos moment study")
-    add_common(p)
-    p.add_argument("--ell-max", dest="ell_max", type=int, default=None)
-    p.add_argument("--n-list", dest="n_list", type=str, default=None)
-    p.add_argument("--t-eval", dest="t_eval", type=float, default=None)
-    p.add_argument("--eps-reg", dest="eps_reg", type=float, default=None)
-    p.add_argument("--no-cauchy", dest="cauchy", action="store_false", default=None)
-
-    p = sub.add_parser("universality", help="weak-universality scaling ladder")
-    add_common(p)
-    p.add_argument("--eps-list", dest="eps_list", type=str, default=None)
-    p.add_argument("--s", dest="s", type=float, default=None)
-    p.add_argument("--f", dest="f", type=str, default=None)
+        for key in _COMMON_KEYS + keys:
+            f = known[key]
+            flag = key.replace("_", "-")
+            # an unset flag parses to None and leaves the file or default
+            kw = {"dest": key, "default": None, "help": f.metadata.get("help")}
+            if f.type != "bool":
+                p.add_argument("--" + flag, type=_TYPES[f.type], **kw)
+            elif f.default:
+                p.add_argument("--no-" + flag, action="store_false", **kw)
+            else:
+                p.add_argument("--" + flag, action="store_true", **kw)
     return parser
 
 
@@ -245,6 +227,11 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 def _report_payload(cfg: RunConfig, body: dict) -> dict:
     return {"config": cfg.to_dict(), "provenance": provenance(), **body}
+
+
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """CSV table of flat row dicts, headed by their keys."""
+    write_csv(path, list(rows[0]), [list(r.values()) for r in rows])
 
 
 def _run_sample(cfg: RunConfig, outdir: Path) -> int:
@@ -330,11 +317,7 @@ def _run_invariance(cfg: RunConfig, outdir: Path) -> int:
                              method=cfg.method, opts=_chain_opts(cfg),
                              z_threshold=cfg.z_threshold,
                              drift_tol=cfg.drift_tol)
-    write_csv(outdir / "invariance.csv",
-              ["observable", "mean_t0", "stderr_t0", "mean_T", "stderr_T",
-               "z_score"],
-              [[r["observable"], r["mean_t0"], r["stderr_t0"], r["mean_T"],
-                r["stderr_T"], r["z_score"]] for r in report.observables])
+    _write_rows(outdir / "invariance.csv", report.observables)
     write_json_report(outdir / "report.json", _report_payload(cfg, {
         "subcommand": "invariance",
         "report": report.to_dict(),
@@ -361,10 +344,7 @@ def _run_chaos(cfg: RunConfig, outdir: Path) -> int:
                 r["stderr_real"], r["mean_imag"], r["stderr_imag"]]
                for r in report.cross_rows])
     if report.cauchy_rows:
-        write_csv(outdir / "chaos_cauchy.csv",
-                  ["ell", "n_max", "distance", "stderr"],
-                  [[r["ell"], r["n_max"], r["distance"], r["stderr"]]
-                   for r in report.cauchy_rows])
+        _write_rows(outdir / "chaos_cauchy.csv", report.cauchy_rows)
     write_json_report(outdir / "report.json", _report_payload(cfg, {
         "subcommand": "chaos",
         "report": report.to_dict(),
@@ -376,10 +356,7 @@ def _run_universality(cfg: RunConfig, outdir: Path) -> int:
     report = universality_experiment(NONLINEARITIES[cfg.f], cfg.eps_values(),
                                      cfg.rho, cfg.s, cfg.T, cfg.resolved_dt(),
                                      cfg.seed)
-    write_csv(outdir / "universality.csv",
-              ["eps", "n_cut", "rho_eps", "sup_distance", "failed"],
-              [[r["eps"], r["n_cut"], r["rho_eps"], r["sup_distance"],
-                r["failed"]] for r in report.rows])
+    _write_rows(outdir / "universality.csv", report.rows)
     dists = report.distances()
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
     write_json_report(outdir / "report.json", _report_payload(cfg, {

@@ -28,6 +28,7 @@ __all__ = [
     "evolve",
     "default_dt",
     "step_schedule",
+    "wick_kick",
 ]
 
 
@@ -95,7 +96,8 @@ def step_schedule(t_final: float, dt: float) -> tuple[int, float]:
     return n_steps, remainder
 
 
-def _wick_kick(p: DynParams):
+def wick_kick(p: DynParams):
+    """The Wick term u -> lam * P_N[:u^{2m+1}:] of dv/dt, in half layout."""
     lam = p.lam
 
     def force(u: np.ndarray) -> np.ndarray:
@@ -122,7 +124,7 @@ def evolve(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
     n_max, rho = p.ctx.n_max, p.ctx.rho
     if np.shape(u)[-2:] != (2 * n_max + 1, n_max + 1) or np.shape(v) != np.shape(u):
         raise ValueError("state must be in the half layout of the context cutoff")
-    kick = force if force is not None else _wick_kick(p)
+    kick = force if force is not None else wick_kick(p)
     n_steps, remainder = step_schedule(t_final, p.dt)
     # (step size, steps, time reached) of each recorded segment
     segments = [(p.dt, min(record_every, n_steps - lo),

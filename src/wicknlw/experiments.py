@@ -16,8 +16,9 @@ import numpy as np
 
 from . import engine
 from .dynamics import (DynParams, IntegrationError, Trajectory, evolve,
-                       step_schedule)
+                       step_schedule, wick_kick)
 from .fields import (
+    _lattice,
     alias_free_grid,
     full_from_half,
     grid_from_half,
@@ -38,6 +39,7 @@ from .wick import WickContext, hermite_values
 __all__ = [
     "DEFAULT_OBSERVABLES",
     "CHAOS_MODES",
+    "HERMITE_POINTS",
     "observable_matrix",
     "InvarianceReport",
     "invariance_test",
@@ -65,6 +67,8 @@ DEFAULT_OBSERVABLES = (
 
 # modes whose Wick-power coefficients chaos_convergence_study estimates
 CHAOS_MODES = ((0, 0), (1, 0), (2, 1))
+# torus points whose field values hermite_moment_study pairs
+HERMITE_POINTS = ((0.0, 0.0), (0.4, 0.0), (1.1, 2.2))
 
 
 def observable_matrix(u: np.ndarray, v: np.ndarray, ctx: WickContext) -> np.ndarray:
@@ -146,8 +150,7 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
     h0 = obs0[:, 5] + obs0[:, 1]
 
     n_steps, remainder = step_schedule(t_final, dyn.dt)
-    lam = dyn.lam
-    kick = lambda x: lam * engine.wick_force(x, ctx)
+    kick = wick_kick(dyn)
 
     ok = np.ones(n_samples, dtype=bool)
     if t_final > 0:
@@ -354,26 +357,24 @@ def _weighted_norm(half: np.ndarray, n_max: int, s: float) -> np.ndarray:
 
 
 def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
-                         seed: int, t_eval: float = 0.0,
-                         points: tuple = ((0.0, 0.0), (0.4, 0.0), (1.1, 2.2)),
-                         ) -> list[dict]:
+                         seed: int, t_eval: float = 0.0) -> list[dict]:
     """Monte Carlo E[H_k(W_x) H_m(W_y)] against delta_{km} k! <f, g>^k.
 
     W_x is the normalized field evaluation z(t, x)/sqrt(sigma); the unit
     test directions have exact inner product gamma(x - y)/sigma, computed
-    from the covariance coefficients.  Pairs are (x0, x0) plus (x0, y) for
-    the remaining points.
+    from the covariance coefficients.  With x0 the first of HERMITE_POINTS,
+    the pairs are (x0, x0) plus (x0, y) for each later point y.
     """
     params = MuParams(n_max, rho, seed)
     sigma = point_variance(n_max, rho)
     gam = covariance_field(n_max, rho)
-    nx, ny = np.meshgrid(np.arange(-n_max, n_max + 1),
-                         np.arange(-n_max, n_max + 1), indexing="ij")
+    nx, ny, _ = _lattice(n_max)
 
     def gamma_at(dx: float, dy: float) -> float:
         return float(np.real(np.sum(gam.coeffs * np.exp(1j * (nx * dx + ny * dy)))))
 
-    pairs = [(points[0], points[0])] + [(points[0], q) for q in points[1:]]
+    x0 = HERMITE_POINTS[0]
+    pairs = [(x0, x0)] + [(x0, q) for q in HERMITE_POINTS[1:]]
     phases = []
     for x, y in pairs:
         phases.append((np.exp(1j * (nx * x[0] + ny * x[1])).ravel(),

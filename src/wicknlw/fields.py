@@ -250,13 +250,10 @@ class SobolevNormSpec:
 
     s: float
     r: float = 2.0
-    rho: float = 1.0
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise ValueError("integrability exponent r must be >= 2")
-        if self.rho <= 0:
-            raise ValueError("mass parameter rho must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +287,6 @@ def from_grid(g: GridField, n_cut: int) -> SpectralField:
     """Fourier analysis of a grid field, truncated to the ball |n| <= n_cut."""
     half = half_from_grid(g.values, n_cut)
     return SpectralField(n_cut, _symmetrize(full_from_half(half)))
-
-
-def grid_points(m_grid: int) -> np.ndarray:
-    """1-d array of node coordinates 2*pi*j/M."""
-    return 2.0 * np.pi * np.arange(m_grid) / m_grid
 
 
 def sobolev_norm(f: SpectralField, spec: SobolevNormSpec) -> float:

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import engine
+from .dynamics import DynParams, wick_kick
 from .fields import half_from_full
 from .free_field import (MuParams, _hermitian_draws, point_variance,
                          rng_for_sample, sample_pair_half)
@@ -200,7 +201,7 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     sched = _scheduler_rng(params.seed)
     lengths = base_steps + sched.integers(-_JITTER, _JITTER + 1, size=moves)
     lengths = np.maximum(lengths, 1)
-    force = lambda u: -engine.wick_force(u, ctx)
+    force = wick_kick(DynParams(ctx, dt))
 
     def propose(mv, cur, pot_cur, rngs):
         v = _chain_mu_half(rngs, params, want_v=True)[1]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,22 @@ from wicknlw.cli import (
 def read_csv(path: Path) -> list[dict]:
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+COMMON_FLAGS = ("--config", "--n", "--rho", "--m", "--dt", "--T", "--samples",
+                "--seed", "--out")
+SAMPLER_FLAGS = ("--method", "--chains", "--burn-in", "--thin", "--blend")
+# the flags each subcommand takes besides COMMON_FLAGS
+FLAGS = {
+    "sample": (),
+    "evolve": ("--record-every", "--init", "--dump-states"),
+    "gibbs": SAMPLER_FLAGS,
+    "invariance": SAMPLER_FLAGS + ("--drift-tol", "--z-threshold"),
+    "chaos": ("--ell-max", "--n-list", "--t-eval", "--eps-reg", "--no-cauchy"),
+    "universality": ("--eps-list", "--s", "--f"),
+}
+# a value of each field type that no setting has as its default
+VALUES = {"int": "5", "float": "0.5", "str": "x"}
 
 
 class TestParseConfig:
@@ -74,6 +91,30 @@ class TestParseConfig:
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(subcommand="gibbs", method="nuts").validate()
+
+    @pytest.mark.parametrize("sub", FLAGS)
+    def test_flag_set(self, sub, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config([sub, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert flags == {"--help", *COMMON_FLAGS, *FLAGS[sub]}
+
+    @pytest.mark.parametrize("sub, flag", [
+        (sub, flag) for sub, flags in FLAGS.items()
+        for flag in COMMON_FLAGS[1:] + flags])
+    def test_flag_matches_config_line(self, tmp_path, sub, flag):
+        key = flag[2:].removeprefix("no-").replace("-", "_")
+        kind = RunConfig.__dataclass_fields__[key].type
+        if kind == "bool":
+            args, value = [flag], str(not flag.startswith("--no-")).lower()
+        else:
+            args, value = [flag, VALUES[kind]], VALUES[kind]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        from_flag = parse_config([sub, *args])
+        from_file = parse_config([sub, "--config", str(cfg_file)])
+        assert from_flag == from_file != RunConfig(sub)
 
 
 class TestDispatch:
@@ -203,6 +244,8 @@ class TestDispatch:
         ["invariance", "--n", "2", "--samples", "1", "--T", "0.01"],
         ["sample", "--rho", "0"],
         ["invariance", "--method", "importance", "--T", "1"],
+        ["gibbs", "--method", "nuts"],
+        ["evolve", "--init", "foo"],
     ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
     def test_bad_study_input_exits_two_with_record(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG

@@ -221,5 +221,3 @@ class TestSobolevNorm:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SobolevNormSpec(s=0.0, r=1.5)
-        with pytest.raises(ValueError):
-            SobolevNormSpec(s=0.0, r=2.0, rho=0.0)
