@@ -165,8 +165,12 @@ def _parse_value(key: str, raw: str):
 def read_config_file(path: str | Path) -> dict:
     """Plain-text ``key = value`` configuration; unknown keys are rejected."""
     known = set(RunConfig.__dataclass_fields__) - {"subcommand"}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -208,6 +212,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve(ns: argparse.Namespace, file_values: dict) -> RunConfig:
+    """Defaults < config-file values < the flags set in ns."""
+    values = {"subcommand": ns.subcommand, **file_values}
+    for key, val in vars(ns).items():
+        if key in ("config", "subcommand") or val is None:
+            continue
+        values[key] = val
+    return RunConfig(**values)
+
+
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve defaults < config file < flags into a RunConfig.
 
@@ -215,14 +229,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     for the error record exists.
     """
     ns = _build_parser().parse_args(argv)
-    values = {"subcommand": ns.subcommand}
-    if getattr(ns, "config", None):
-        values.update(read_config_file(ns.config))
-    for key, val in vars(ns).items():
-        if key in ("config", "subcommand") or val is None:
-            continue
-        values[key] = val
-    return RunConfig(**values)
+    return _resolve(ns, read_config_file(ns.config) if ns.config else {})
 
 
 def _report_payload(cfg: RunConfig, body: dict) -> dict:
@@ -397,22 +404,30 @@ def dispatch(cfg: RunConfig) -> int:
     except ValueError as exc:
         # ConfigError from validate, or parameters that only the study
         # itself can reject, e.g. a non-decreasing eps ladder or zero chains
-        write_json_report(outdir / "error.json", _report_payload(cfg, {
-            "error": "configuration",
-            "message": str(exc),
-        }))
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(cfg, exc)
+
+
+def _config_error(cfg: RunConfig, exc: ValueError) -> int:
+    """Record a configuration error in <out>/<subcommand>/error.json."""
+    outdir = Path(cfg.out) / cfg.subcommand
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_json_report(outdir / "error.json", _report_payload(cfg, {
+        "error": "configuration",
+        "message": str(exc),
+    }))
+    print(f"configuration error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    ns = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(argv)
+        file_values = read_config_file(ns.config) if ns.config else {}
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return dispatch(cfg)
+        # no file value is used: the record goes under the flags' --out
+        return _config_error(_resolve(ns, {}), exc)
+    return dispatch(_resolve(ns, file_values))
 
 
 if __name__ == "__main__":

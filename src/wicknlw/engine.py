@@ -27,6 +27,7 @@ __all__ = [
     "half_geometry",
     "rotate",
     "wick_force",
+    "step_rows",
     "run_steps",
     "l2_norm_sq",
     "quadratic_energy_values",
@@ -62,6 +63,17 @@ def wick_force(u: np.ndarray, ctx: WickContext) -> np.ndarray:
     """P_N[H_{2m+1}(u; sigma)] in half layout (the defocusing term's magnitude)."""
     g = grid_from_half(u, ctx.m_grid)
     return half_from_grid(hermite_values(2 * ctx.m + 1, g, ctx.sigma), ctx.n_max)
+
+
+def step_rows(ctx: WickContext) -> int:
+    """Rows per ``run_steps`` call: the ``_block_size`` rule applied to the
+    values one Wick force holds per row (the M x M grid and its Hermite
+    image, two (M, N+1) complex products, three half-layout arrays); 61 at
+    N = 8.  In much larger blocks glibc hands the freed temporaries back to
+    the OS after every step, and the next step faults them in again.
+    """
+    n, m = ctx.n_max, ctx.m_grid
+    return _block_size(2 * m * m + 4 * m * (n + 1) + 6 * (2 * n + 1) * (n + 1))
 
 
 def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,

@@ -154,7 +154,7 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
 
     ok = np.ones(n_samples, dtype=bool)
     if t_final > 0:
-        block = _block_size(ctx.m_grid ** 2)
+        block = engine.step_rows(ctx)
         for lo in range(0, n_samples, block):
             hi = min(lo + block, n_samples)
             uu, vv = u[lo:hi], v[lo:hi]
@@ -270,6 +270,8 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
         raise ValueError("chaos degree must be in 1..4")
     if n_samples < 2:
         raise ValueError("need at least two samples for standard errors")
+    if not n_list:
+        raise ValueError("cutoff list is empty")
     if list(n_list) != sorted(n_list):
         raise ValueError("cutoff list must be increasing")
     n_hi = 2 * max(n_list) if cauchy else max(n_list)
@@ -544,6 +546,8 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
     sample under ``seed``, so the data are nested truncations.
     """
     eps_arr = list(eps_list)
+    if not eps_arr:
+        raise ValueError("eps ladder is empty")
     if any(not 0 < e <= 1 for e in eps_arr):
         raise ValueError("eps values must lie in (0, 1]")
     if not all(a > b for a, b in zip(eps_arr, eps_arr[1:])):

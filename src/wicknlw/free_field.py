@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .fields import (SpectralField, _lattice, ball_mask, half_from_full,
                      mode_norms_sq)
@@ -195,18 +194,33 @@ def covariance_field(n_cut: int, rho: float) -> SpectralField:
     return SpectralField(n_cut, c)
 
 
+def _convolve_ball(table: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """Full 2-d convolution of table with the covariance square gam.
+
+    A direct sum: one shifted, scaled copy of table per nonzero entry of
+    gam (the ball |n| <= N), so every entry is an exact finite sum of
+    products.  The entries run in descending order, which accumulates
+    each output in ascending order of the index into table.
+    """
+    (r, c), k = table.shape, gam.shape[0]
+    out = np.zeros((r + k - 1, c + k - 1))
+    for i, j in reversed(list(zip(*np.nonzero(gam)))):
+        out[i : i + r, j : j + c] += gam[i, j] * table
+    return out
+
+
 @lru_cache(maxsize=None)
 def _chaos_table(ell: int, n_cut: int, rho: float) -> np.ndarray:
     """ell! times the ell-fold self-convolution of the covariance coefficients.
 
-    Computed by iterated dense convolution on the square [-ell*N, ell*N]^2,
+    Computed by iterated direct convolution on the square [-ell*N, ell*N]^2,
     which is exact (no truncation) for band-limited input.
     """
     gam = 1.0 / (rho + mode_norms_sq(n_cut))
     gam[~ball_mask(n_cut)] = 0.0
     table = gam
     for _ in range(ell - 1):
-        table = convolve2d(table, gam, mode="full")
+        table = _convolve_ball(table, gam)
     return float(math.factorial(ell)) * table
 
 

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import engine
 from .dynamics import DynParams, wick_kick
@@ -202,12 +201,16 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     lengths = base_steps + sched.integers(-_JITTER, _JITTER + 1, size=moves)
     lengths = np.maximum(lengths, 1)
     force = wick_kick(DynParams(ctx, dt))
+    block = engine.step_rows(ctx)
 
     def propose(mv, cur, pot_cur, rngs):
         v = _chain_mu_half(rngs, params, want_v=True)[1]
         h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
-        u_new, v_new = engine.run_steps(cur, v, n_max, rho, dt,
-                                        int(lengths[mv]), force)
+        u_new, v_new = np.empty_like(cur), np.empty_like(v)
+        for lo in range(0, len(cur), block):
+            rows = slice(lo, lo + block)
+            u_new[rows], v_new[rows] = engine.run_steps(
+                cur[rows], v[rows], n_max, rho, dt, int(lengths[mv]), force)
         pot_new = engine.wick_potential_values(u_new, ctx)
         h1 = engine.quadratic_energy_values(u_new, v_new, n_max, rho) + pot_new
         return u_new, pot_new, h0 - h1
@@ -288,8 +291,11 @@ def single_mode_moment_quadrature(rho: float, m: int = 1,
 
     At N = 0 the position marginal has the explicit one-dimensional density
     proportional to exp(-H_{2m+2}(x; 1/rho)/(2m+2)) * normal(0, 1/rho).
-    Serves as the sampler-independent oracle.
+    Serves as the sampler-independent oracle.  ``scipy.integrate`` is
+    imported here, on first use, so that it stays off every run's import path.
     """
+    from scipy.integrate import quad
+
     sigma = point_variance(0, rho)
     deg = 2 * m + 2
 

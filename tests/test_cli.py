@@ -2,13 +2,17 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wicknlw import MuParams, WickContext, sample_free_field
+from wicknlw import cli as cli_module
 from wicknlw.experiments import observable_matrix
 from wicknlw.fields import half_from_full, mode_norms_sq
 from wicknlw.cli import (
@@ -254,6 +258,37 @@ class TestDispatch:
         assert record["message"]
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["universality", "--eps-list", ""], "eps ladder is empty"),
+        (["chaos", "--n-list", ""], "cutoff list is empty"),
+    ], ids=["eps_list", "n_list"])
+    def test_empty_list_is_named(self, tmp_path, argv, message):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        record = json.loads((tmp_path / argv[0] / "error.json").read_text())
+        assert record["message"] == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("n = x\n", "run.cfg:1: invalid literal"),
+        ("seed = 3\nnot_a_key = 3\n", "run.cfg:2: unknown key"),
+        ("cauchy = maybe\n", "bad boolean"),
+        (None, "cannot read config file"),
+    ], ids=["bad_int", "unknown_key", "bad_bool", "missing_file"])
+    def test_bad_config_file_exits_two_with_record(self, tmp_path, capsys,
+                                                   text, message):
+        cfg_file = tmp_path / "run.cfg"
+        if text is not None:
+            cfg_file.write_text(text)
+        out = tmp_path / "out"
+        argv = ["sample", "--config", str(cfg_file), "--n", "3", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads((out / "sample" / "error.json").read_text())
+        assert record["error"] == "configuration"
+        assert message in record["message"]
+        # the record echoes the flags, none of the file's values
+        assert record["config"]["n"] == 3
+        assert record["config"]["seed"] == 0
+        assert "configuration error" in capsys.readouterr().err
+
     def test_report_echoes_resolved_config(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("seed = 7\nn = 2\n")
@@ -265,3 +300,26 @@ class TestDispatch:
         assert report["config"]["seed"] == 42
         assert report["config"]["n"] == 2
         assert "provenance" in report
+
+
+def test_runs_leave_heavy_scipy_subpackages_unimported(tmp_path):
+    # a fresh interpreter: the test process itself imports scipy.signal
+    script = f"""
+import sys
+import wicknlw.cli as cli
+out = {str(tmp_path)!r}
+assert cli.main(["chaos", "--ell-max", "2", "--n-list", "1,2", "--samples", "8",
+                 "--out", out]) == 0
+assert cli.main(["universality", "--eps-list", "0.5,0.25", "--T", "0.05",
+                 "--dt", "0.01", "--out", out]) == 0
+heavy = ("signal", "integrate", "stats", "optimize", "interpolate", "fft")
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in [["scipy", h] for h in heavy]))
+"""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -121,3 +121,23 @@ def test_wick_force_returns_fresh_arrays(full):
     b = engine.wick_force(2.0 * half, ctx)
     assert a is not b
     np.testing.assert_array_equal(a, a_before)
+
+
+def test_run_steps_rows_are_independent_of_the_block():
+    # the HMC trajectory and invariance_test step in blocks of step_rows
+    ctx = WickContext.create(8, RHO, 1)
+    rng = np.random.default_rng(12)
+    u = half_from_full(np.stack([random_field(8, s, 0.3).coeffs for s in range(64)]))
+    v = u * rng.standard_normal(u.shape)
+    kick = lambda x: -engine.wick_force(x, ctx)
+    whole = engine.run_steps(u, v, 8, RHO, 1e-3, 7, kick)
+    halves = [engine.run_steps(u[s], v[s], 8, RHO, 1e-3, 7, kick)
+              for s in (slice(0, 32), slice(32, 64))]
+    for j in range(2):
+        np.testing.assert_array_equal(
+            whole[j], np.concatenate([h[j] for h in halves]))
+
+
+def test_step_rows_follows_the_block_rule():
+    # 2 M^2 + 4 M (N+1) + 6 K (N+1) = 4284 values per row at N = 8, M = 33
+    assert engine.step_rows(WickContext.create(8, RHO, 1)) == (1 << 18) // 4284 == 61

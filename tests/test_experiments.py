@@ -309,19 +309,22 @@ class TestBlockInvariance:
         opts = ChainOptions(n_chains=4, burn_in=10, thin=2)
         # 0.055 = 5 steps plus a partial step: both run_steps calls per block
         want = invariance_test(dyn, 0.055, 10, seed=23, opts=opts).to_dict()
-        monkeypatch.setattr(free_field, "_BLOCK_VALUES",
-                            block * alias_free_grid(3, 3) ** 2)
-        rows = []
+        monkeypatch.setattr(engine, "step_rows", lambda ctx: block)
+        calls = []
         run_steps = engine.run_steps
 
-        def spy(u, *args):
-            rows.append(len(u))
-            return run_steps(u, *args)
+        def spy(u, v, n_max, rho, dt, *args):
+            calls.append((len(u), dt))
+            return run_steps(u, v, n_max, rho, dt, *args)
 
         monkeypatch.setattr(engine, "run_steps", spy)
         assert invariance_test(dyn, 0.055, 10, seed=23, opts=opts).to_dict() == want
-        evolution = [r for r in rows if r != opts.n_chains]
+        # the HMC trajectories step by traj_time / 40, the evolution by dt
+        # and by the partial step; both run in blocks of step_rows
+        traj_dt = opts.traj_time / 40.0
+        evolution = [r for r, h in calls if h != traj_dt]
         assert max(evolution) == block and sum(evolution) == 2 * 10
+        assert max(r for r, h in calls if h == traj_dt) == block
 
 
 class TestBoundedMemory:

@@ -1,5 +1,7 @@
 """Free-measure sampling, point variance, covariance, chaos oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,41 @@ class TestChaosOracle:
         # two-fold convolution at (1,0), N=1: gamma(0)gamma(1,0)*2 + gamma(0,1)gamma(1,-1)...
         # only in-ball pairs survive: (0,0)+(1,0) twice -> 2 * 1 * 1/2 = 1; times 2! = 2
         assert chaos_second_moment(2, 1, 1.0, (1, 0)) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n_cut", [1, 2, 3, 4])
+    def test_matches_brute_force_pair_sums(self, n_cut):
+        # ell! sum over ell-tuples of ball modes adding up to n of the
+        # product of their covariances, term by term
+        ball = [(a, b) for a in range(-n_cut, n_cut + 1)
+                for b in range(-n_cut, n_cut + 1) if a * a + b * b <= n_cut * n_cut]
+        gam = {k: 1.0 / (1.0 + k[0] ** 2 + k[1] ** 2) for k in ball}
+        two, three = {}, {}
+        for k, gk in gam.items():
+            for j, gj in gam.items():
+                n = (k[0] + j[0], k[1] + j[1])
+                two[n] = two.get(n, 0.0) + gk * gj
+        for n2, g2 in two.items():
+            for j, gj in gam.items():
+                n = (n2[0] + j[0], n2[1] + j[1])
+                three[n] = three.get(n, 0.0) + g2 * gj
+        for ell, want in ((1, gam), (2, two), (3, three)):
+            t = chaos_spectrum(ell, n_cut, 1.0)
+            r = ell * n_cut
+            brute = np.zeros_like(t)
+            for (a, b), val in want.items():
+                brute[a + r, b + r] = math.factorial(ell) * val
+            np.testing.assert_allclose(t, brute, rtol=1e-13, atol=0)
+
+    def test_matches_dense_convolution(self):
+        from scipy.signal import convolve2d
+
+        n_cut = 16
+        gam = free_field.covariance_field(n_cut, 1.0).coeffs.real
+        two = convolve2d(gam, gam)
+        np.testing.assert_allclose(chaos_spectrum(2, n_cut, 1.0), 2.0 * two,
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(chaos_spectrum(3, n_cut, 1.0),
+                                   6.0 * convolve2d(two, gam), rtol=1e-13, atol=0)
 
     def test_growth_bound_decelerates(self):
         # sup_n moment * <n>^{2(1-theta)} grows ever more slowly in N
