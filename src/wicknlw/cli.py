@@ -167,7 +167,7 @@ def read_config_file(path: str | Path) -> dict:
     known = set(RunConfig.__dataclass_fields__) - {"subcommand"}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -421,13 +421,12 @@ def _config_error(cfg: RunConfig, exc: ValueError) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ns = _build_parser().parse_args(argv)
     try:
-        file_values = read_config_file(ns.config) if ns.config else {}
+        cfg = parse_config(argv)
     except ConfigError as exc:
-        # no file value is used: the record goes under the flags' --out
-        return _config_error(_resolve(ns, {}), exc)
-    return dispatch(_resolve(ns, file_values))
+        # the config file failed: record under the flags' --out, no file value
+        return _config_error(_resolve(_build_parser().parse_args(argv), {}), exc)
+    return dispatch(cfg)
 
 
 if __name__ == "__main__":

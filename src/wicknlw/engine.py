@@ -29,6 +29,7 @@ __all__ = [
     "wick_force",
     "step_rows",
     "run_steps",
+    "run_steps_blocked",
     "l2_norm_sq",
     "quadratic_energy_values",
     "wick_potential_values",
@@ -109,6 +110,20 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     np.multiply(force(u), 0.5 * dt, out=tmp)
     v += tmp
     return u, v
+
+
+def run_steps_blocked(u: np.ndarray, v: np.ndarray, ctx: WickContext,
+                      dt: float, n_steps: int, force) -> tuple[np.ndarray, np.ndarray]:
+    """``run_steps`` on (rows, K, N+1) arrays in blocks of ``step_rows(ctx)``
+    rows.  Rows are independent, so the result equals one call on all rows.
+    """
+    u_out, v_out = np.empty_like(u), np.empty_like(v)
+    block = step_rows(ctx)
+    for lo in range(0, len(u), block):
+        rows = slice(lo, lo + block)
+        u_out[rows], v_out[rows] = run_steps(u[rows], v[rows], ctx.n_max,
+                                             ctx.rho, dt, n_steps, force)
+    return u_out, v_out
 
 
 def l2_norm_sq(u: np.ndarray, n_max: int) -> np.ndarray:

@@ -152,22 +152,12 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
     n_steps, remainder = step_schedule(t_final, dyn.dt)
     kick = wick_kick(dyn)
 
-    ok = np.ones(n_samples, dtype=bool)
-    if t_final > 0:
-        block = engine.step_rows(ctx)
-        for lo in range(0, n_samples, block):
-            hi = min(lo + block, n_samples)
-            uu, vv = u[lo:hi], v[lo:hi]
-            if n_steps:
-                uu, vv = engine.run_steps(uu, vv, ctx.n_max, ctx.rho, dyn.dt,
-                                          n_steps, kick)
-            if remainder:
-                uu, vv = engine.run_steps(uu, vv, ctx.n_max, ctx.rho,
-                                          remainder, 1, kick)
-            u[lo:hi], v[lo:hi] = uu, vv
-            good = (np.isfinite(uu).reshape(hi - lo, -1).all(axis=1)
-                    & np.isfinite(vv).reshape(hi - lo, -1).all(axis=1))
-            ok[lo:hi] = good
+    if n_steps:
+        u, v = engine.run_steps_blocked(u, v, ctx, dyn.dt, n_steps, kick)
+    if remainder:
+        u, v = engine.run_steps_blocked(u, v, ctx, remainder, 1, kick)
+    ok = (np.isfinite(u).reshape(n_samples, -1).all(axis=1)
+          & np.isfinite(v).reshape(n_samples, -1).all(axis=1))
     n_failed = int((~ok).sum())
 
     obs1 = observable_matrix(u[ok], v[ok], ctx)

@@ -201,16 +201,12 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     lengths = base_steps + sched.integers(-_JITTER, _JITTER + 1, size=moves)
     lengths = np.maximum(lengths, 1)
     force = wick_kick(DynParams(ctx, dt))
-    block = engine.step_rows(ctx)
 
     def propose(mv, cur, pot_cur, rngs):
         v = _chain_mu_half(rngs, params, want_v=True)[1]
         h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
-        u_new, v_new = np.empty_like(cur), np.empty_like(v)
-        for lo in range(0, len(cur), block):
-            rows = slice(lo, lo + block)
-            u_new[rows], v_new[rows] = engine.run_steps(
-                cur[rows], v[rows], n_max, rho, dt, int(lengths[mv]), force)
+        u_new, v_new = engine.run_steps_blocked(cur, v, ctx, dt,
+                                                int(lengths[mv]), force)
         pot_new = engine.wick_potential_values(u_new, ctx)
         h1 = engine.quadratic_energy_values(u_new, v_new, n_max, rho) + pot_new
         return u_new, pot_new, h0 - h1

@@ -272,11 +272,15 @@ class TestDispatch:
         ("seed = 3\nnot_a_key = 3\n", "run.cfg:2: unknown key"),
         ("cauchy = maybe\n", "bad boolean"),
         (None, "cannot read config file"),
-    ], ids=["bad_int", "unknown_key", "bad_bool", "missing_file"])
+        (b"\xff", "cannot read config file"),
+    ], ids=["bad_int", "unknown_key", "bad_bool", "missing_file",
+            "bad_encoding"])
     def test_bad_config_file_exits_two_with_record(self, tmp_path, capsys,
                                                    text, message):
         cfg_file = tmp_path / "run.cfg"
-        if text is not None:
+        if isinstance(text, bytes):
+            cfg_file.write_bytes(text)
+        elif text is not None:
             cfg_file.write_text(text)
         out = tmp_path / "out"
         argv = ["sample", "--config", str(cfg_file), "--n", "3", "--out", str(out)]

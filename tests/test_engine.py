@@ -123,7 +123,7 @@ def test_wick_force_returns_fresh_arrays(full):
     np.testing.assert_array_equal(a, a_before)
 
 
-def test_run_steps_rows_are_independent_of_the_block():
+def test_run_steps_rows_are_independent_of_the_block(monkeypatch):
     # the HMC trajectory and invariance_test step in blocks of step_rows
     ctx = WickContext.create(8, RHO, 1)
     rng = np.random.default_rng(12)
@@ -136,6 +136,11 @@ def test_run_steps_rows_are_independent_of_the_block():
     for j in range(2):
         np.testing.assert_array_equal(
             whole[j], np.concatenate([h[j] for h in halves]))
+    # 64 rows in blocks of 24: two full blocks and a partial one
+    monkeypatch.setattr(engine, "step_rows", lambda ctx: 24)
+    blocked = engine.run_steps_blocked(u, v, ctx, 1e-3, 7, kick)
+    for j in range(2):
+        np.testing.assert_array_equal(whole[j], blocked[j])
 
 
 def test_step_rows_follows_the_block_rule():

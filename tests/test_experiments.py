@@ -309,6 +309,9 @@ class TestBlockInvariance:
         opts = ChainOptions(n_chains=4, burn_in=10, thin=2)
         # 0.055 = 5 steps plus a partial step: both run_steps calls per block
         want = invariance_test(dyn, 0.055, 10, seed=23, opts=opts).to_dict()
+        # the potential and observable loops block at M = 13 as well
+        monkeypatch.setattr(free_field, "_BLOCK_VALUES",
+                            block * alias_free_grid(3, 3) ** 2)
         monkeypatch.setattr(engine, "step_rows", lambda ctx: block)
         calls = []
         run_steps = engine.run_steps
