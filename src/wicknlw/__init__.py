@@ -1,18 +1,15 @@
 """Wick-ordered nonlinear wave dynamics and Gibbs-measure verification on T^2."""
 
 from .fields import (
-    GridField,
-    SobolevNormSpec,
     SpectralField,
     alias_free_grid,
-    from_grid,
+    grid_from_half,
+    half_from_grid,
     project,
     sobolev_norm,
-    to_grid,
 )
 from .free_field import (
     MuParams,
-    PhaseState,
     chaos_second_moment,
     chaos_spectrum,
     covariance_field,
@@ -23,7 +20,6 @@ from .wick import (
     WickContext,
     hermite,
     hermite_values,
-    scaling_identity_check,
     wick_binomial,
     wick_power,
 )
@@ -37,7 +33,6 @@ from .dynamics import (
 from .gibbs import (
     ChainOptions,
     importance_weights,
-    rn_moment_study,
     single_mode_moment_quadrature,
 )
 from .experiments import (

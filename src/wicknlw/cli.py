@@ -14,6 +14,7 @@ numerical failure, 4 statistical FAIL.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
@@ -30,7 +31,7 @@ from .experiments import (
     universality_experiment,
 )
 from .fields import SpectralField, full_from_half
-from .free_field import MuParams, _block_size, sample_pair_half
+from .free_field import MuParams, _block_size, sample_free_field, sample_pair_half
 from .gibbs import ChainOptions, sample_gibbs_arrays
 from .reporting import (
     provenance,
@@ -88,6 +89,9 @@ class RunConfig:
     f: str = "sin"
 
     def validate(self) -> None:
+        for f in dc_fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.rho <= 0:
             raise ConfigError("rho must be positive (massless zero mode is not normalizable)")
         if self.n < 0:
@@ -272,7 +276,7 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> int:
     if cfg.init == "zero":
         u = v = np.zeros((2 * cfg.n + 1, cfg.n + 1), dtype=complex)
     else:
-        u, v = (a[0] for a in sample_pair_half(MuParams(cfg.n, cfg.rho, cfg.seed), 1))
+        u, v = sample_free_field(MuParams(cfg.n, cfg.rho, cfg.seed))
     rec = cfg.record_every or max(1, int(round(cfg.T / dt / 200)))
     traj = evolve(u, v, cfg.T, dyn, record_every=rec)
     header, rows = trajectory_table(traj, ctx)

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import ball_mask, grid_from_half, half_from_grid, mode_norms_sq
+from .fields import (ball_mask, grid_from_half, half_from_grid, half_weights,
+                     mode_norms_sq)
 from .free_field import _block_size
 from .wick import WickContext, hermite_values
 
@@ -40,16 +41,14 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def half_geometry(n_max: int, rho: float):
-    """(ball mask, <n>_rho, <n>_rho^2, column weights) in half layout."""
+    """(ball mask, <n>_rho, <n>_rho^2, ``half_weights``) in half layout."""
     lam2 = rho + mode_norms_sq(n_max)
     lam2_h = lam2[:, n_max:]
     lam_h = np.sqrt(lam2_h)
     ball_h = ball_mask(n_max)[:, n_max:]
-    colw = np.full(n_max + 1, 2.0)
-    colw[0] = 1.0
-    for a in (lam2_h, lam_h, colw):
+    for a in (lam2_h, lam_h):
         a.setflags(write=False)
-    return ball_h, lam_h, lam2_h, colw
+    return ball_h, lam_h, lam2_h, half_weights(n_max)
 
 
 def rotate(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
@@ -128,8 +127,7 @@ def run_steps_blocked(u: np.ndarray, v: np.ndarray, ctx: WickContext,
 
 def l2_norm_sq(u: np.ndarray, n_max: int) -> np.ndarray:
     """Parseval sum over the full lattice from the half layout."""
-    colw = half_geometry(n_max, 1.0)[3]
-    return np.sum(colw * np.abs(u) ** 2, axis=(-2, -1))
+    return np.sum(half_weights(n_max) * np.abs(u) ** 2, axis=(-2, -1))
 
 
 def quadratic_energy_values(u: np.ndarray, v: np.ndarray, n_max: int,

@@ -23,7 +23,8 @@ from .fields import (
     full_from_half,
     grid_from_half,
     half_from_grid,
-    mode_norms_sq,
+    project,
+    sobolev_norm,
 )
 from .free_field import (
     MuParams,
@@ -31,10 +32,11 @@ from .free_field import (
     chaos_second_moment,
     covariance_field,
     point_variance,
+    sample_free_field,
     sample_pair_half,
 )
 from .gibbs import ChainOptions, sample_gibbs_arrays
-from .wick import WickContext, hermite_values
+from .wick import WickContext, hermite_values, wick_power
 
 __all__ = [
     "DEFAULT_OBSERVABLES",
@@ -199,16 +201,6 @@ class ChaosReport:
         return dict(self.__dict__)
 
 
-def _truncate_half(u: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """Restrict half-layout coefficients to the ball of a smaller cutoff."""
-    if n_to > n_from:
-        raise ValueError("cannot extend a cutoff by truncation")
-    lo = n_from - n_to
-    out = u[..., lo : lo + 2 * n_to + 1, : n_to + 1].copy()
-    out *= engine.half_geometry(n_to, 1.0)[0]
-    return out
-
-
 def _half_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a - b in half layout, the smaller cutoff zero-padded to the larger."""
     if a.shape[-2] < b.shape[-2]:
@@ -219,15 +211,9 @@ def _half_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def wick_power_spectrum(z: np.ndarray, ell: int, sigma: float,
-                        n_cut: int) -> np.ndarray:
-    """Complete spectrum of H_ell(z; sigma) for cutoff-n_cut z, half layout.
-
-    Uses a grid large enough (M > 2 ell N) that every output mode up to
-    the full support ell * N is exact.
-    """
-    g = grid_from_half(z, alias_free_grid(n_cut, 2 * ell - 1))
-    return half_from_grid(hermite_values(ell, g, sigma), ell * n_cut)
+# bench/tracer.py wraps the study's former name for wick.wick_power; it
+# stays bound only for it, outside __all__
+wick_power_spectrum = wick_power
 
 
 def _mode_coeff(half: np.ndarray, n_max: int, mode: tuple[int, int]) -> np.ndarray:
@@ -262,8 +248,9 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
         raise ValueError("need at least two samples for standard errors")
     if not n_list:
         raise ValueError("cutoff list is empty")
-    if list(n_list) != sorted(n_list):
-        raise ValueError("cutoff list must be increasing")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        # a repeated cutoff would feed every sample to its accumulators twice
+        raise ValueError(f"cutoff list {list(n_list)} must be strictly increasing")
     n_hi = 2 * max(n_list) if cauchy else max(n_list)
     params = MuParams(n_hi, rho, seed)
     cuts = sorted({*n_list, *(2 * n for n in n_list)} if cauchy else set(n_list))
@@ -281,10 +268,9 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
         z_t, _ = engine.rotate(u0, v0, n_hi, rho, t_eval)
         spectra = {}
         for n_cut in cuts:
-            z_n = _truncate_half(z_t, n_hi, n_cut)
+            z_n = project(z_t, n_cut)
             for ell in range(1, ell_max + 1):
-                spectra[(ell, n_cut)] = wick_power_spectrum(
-                    z_n, ell, sig[n_cut], n_cut)
+                spectra[(ell, n_cut)] = wick_power(z_n, ell, sig[n_cut])
         for n_cut in n_list:
             for ell in range(1, ell_max + 1):
                 sp = spectra[(ell, n_cut)]
@@ -303,7 +289,7 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
                     sp2 = spectra[(ell, 2 * n_cut)]
                     diff = _half_difference(sp2, sp)
                     acc_d.setdefault((ell, n_cut), []).append(
-                        _weighted_norm(diff, 2 * ell * n_cut, -eps_reg))
+                        sobolev_norm(diff, -eps_reg))
     moment_rows = []
     for (ell, n_cut, mo), chunks in acc_sq.items():
         vals = np.concatenate(chunks)
@@ -336,13 +322,6 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
                        t_eval, eps_reg)
 
 
-def _weighted_norm(half: np.ndarray, n_max: int, s: float) -> np.ndarray:
-    """Batched H^s norm (plain bracket) straight from half-layout arrays."""
-    bracket = (1.0 + mode_norms_sq(n_max)[:, n_max:]) ** s
-    colw = engine.half_geometry(n_max, 1.0)[3]
-    return np.sqrt(np.sum(colw * bracket * np.abs(half) ** 2, axis=(-2, -1)))
-
-
 # ---------------------------------------------------------------------------
 # Gaussian moment identities for Hermite polynomials of field evaluations
 # ---------------------------------------------------------------------------
@@ -363,7 +342,7 @@ def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
     nx, ny, _ = _lattice(n_max)
 
     def gamma_at(dx: float, dy: float) -> float:
-        return float(np.real(np.sum(gam.coeffs * np.exp(1j * (nx * dx + ny * dy)))))
+        return float(np.real(np.sum(gam * np.exp(1j * (nx * dx + ny * dy)))))
 
     x0 = HERMITE_POINTS[0]
     pairs = [(x0, x0)] + [(x0, q) for q in HERMITE_POINTS[1:]]
@@ -488,8 +467,8 @@ def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
         n_master = n_cut
     if n_master < n_cut:
         raise ValueError("master cutoff must dominate the working cutoff")
-    master = sample_pair_half(MuParams(n_master, rho, seed), 1)
-    u, v = (_truncate_half(a[0], n_master, n_cut) for a in master)
+    master = sample_free_field(MuParams(n_master, rho, seed))
+    u, v = (project(a, n_cut) for a in master)
     ctx = WickContext.create(n_cut, rho, 1)
     dyn = DynParams(ctx, dt, lam=f.limit_coupling)
     force = scaled_force_fn(f, eps, rho, n_cut)
@@ -521,7 +500,7 @@ def _sup_distance(traj_a: Trajectory, traj_b: Trajectory, s: float) -> float:
     if len(traj_a.times) != len(traj_b.times):
         raise ValueError("trajectories must share recording times")
     diff = _half_difference(traj_a.u, traj_b.u)
-    return float(_weighted_norm(diff, (diff.shape[-2] - 1) // 2, s).max())
+    return float(sobolev_norm(diff, s).max())
 
 
 def universality_experiment(f: Nonlinearity, eps_list: list[float],
@@ -549,10 +528,10 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
     if record_every is None:
         record_every = max(1, int(round(t_final / dt / 40.0)))
 
-    master = sample_pair_half(MuParams(n_ref, rho, seed), 1)
+    master = sample_free_field(MuParams(n_ref, rho, seed))
 
     def reference_run(n_cut: int) -> Trajectory:
-        u, v = (_truncate_half(a[0], n_ref, n_cut) for a in master)
+        u, v = (project(a, n_cut) for a in master)
         ctx = WickContext.create(n_cut, rho, 1)
         dyn = DynParams(ctx, dt, lam=f.limit_coupling)
         return evolve(u, v, t_final, dyn, record_every=record_every)

@@ -1,19 +1,23 @@
-"""Real scalar fields on the 2-torus in spectral and collocation form.
+"""Real scalar fields on the 2-torus: half spectra, transforms, projection, norms.
 
 Conventions used throughout the package:
 
 * The torus is the 2*pi-periodic square with the *normalized* measure
   dx / (2*pi)^2, so the characters e^{i n.x}, n in Z^2, are orthonormal
   and every integral over the torus is a plain average over grid nodes.
-* A field with cutoff ``n_max`` stores complex coefficients on the square
+* A field with cutoff ``n_max`` has complex coefficients on the square
   ``{|n_i| <= n_max}``; only modes inside the Euclidean ball
   ``|n| <= n_max`` may be nonzero.  Reality of the field is encoded as
-  Hermitian symmetry ``c(-n) = conj(c(n))``.
+  Hermitian symmetry ``c(-n) = conj(c(n))``, so the columns n2 >= 0 of the
+  square, shape (2 n_max + 1, n_max + 1), determine it.  This half
+  spectrum, batched over leading axes, is how every study, sampler and
+  kernel stores a field; the full square appears only in
+  :class:`SpectralField`, the type of field dumps.
 * Collocation grids are uniform M x M grids on [0, 2*pi)^2.  A grid is
   alias-free for a product of degree p of cutoff-N fields whenever
   ``M > (p + 1) * N``; helper :func:`alias_free_grid` returns the smallest
   size satisfying that bound.
-* Transforms are per-axis DFT matrix products on the stored half spectrum.
+* Transforms are per-axis DFT matrix products on the half spectrum.
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ import numpy as np
 
 __all__ = [
     "SpectralField",
-    "GridField",
-    "SobolevNormSpec",
-    "project",
-    "to_grid",
-    "from_grid",
-    "sobolev_norm",
+    "mode_norms_sq",
+    "ball_mask",
     "alias_free_grid",
+    "half_from_full",
+    "full_from_half",
+    "half_weights",
+    "grid_from_half",
+    "half_from_grid",
+    "project",
+    "sobolev_norm",
 ]
 
 
@@ -92,6 +99,15 @@ def full_from_half(half: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def half_weights(n_max: int) -> np.ndarray:
+    """Parseval column weights of the half layout: 1 for n2 = 0, else 2."""
+    colw = np.full(n_max + 1, 2.0)
+    colw[0] = 1.0
+    colw.setflags(write=False)
+    return colw
+
+
+@lru_cache(maxsize=None)
 def _dft_factors(n_max: int, m_grid: int):
     """Per-axis DFT factors, built once per (N, M): e1[j, k] = e^{i n1_k x_j}
     for both directions along n1, and real [cos; -sin] n2 tables acting on
@@ -140,14 +156,37 @@ def half_from_grid(values: np.ndarray, n_max: int) -> np.ndarray:
     return flipped[..., ::-1, :] * ball_mask(n_max)[:, n_max:]
 
 
+# bench/tracer.py wraps the names of the object-field transforms that these
+# two functions replaced; they stay bound only for it, outside __all__
+to_grid, from_grid = grid_from_half, half_from_grid
+
+
+def project(half: np.ndarray, n_cut: int) -> np.ndarray:
+    """Sharp Fourier projection onto the Euclidean ball |n| <= n_cut, batched.
+
+    The stored cutoff is read from the shape of ``half``; ``n_cut`` must lie
+    between 0 and it.  Returns a new array of cutoff ``n_cut``.
+    """
+    n_max = (half.shape[-2] - 1) // 2
+    if not 0 <= n_cut <= n_max:
+        raise ValueError(f"projection cutoff {n_cut} outside 0..{n_max}")
+    lo = n_max - n_cut
+    out = half[..., lo : lo + 2 * n_cut + 1, : n_cut + 1].copy()
+    out *= ball_mask(n_cut)[:, n_cut:]
+    return out
+
+
+def sobolev_norm(half: np.ndarray, s: float) -> np.ndarray:
+    """Batched H^s norm (sum <n>^{2s} |c_n|^2)^{1/2}, <n> = sqrt(1 + |n|^2)."""
+    n_max = (half.shape[-2] - 1) // 2
+    bracket = (1.0 + mode_norms_sq(n_max)[:, n_max:]) ** s
+    return np.sqrt(np.sum(half_weights(n_max) * bracket * np.abs(half) ** 2,
+                          axis=(-2, -1)))
+
+
 def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
     """Exact Hermitian symmetrization c <- (c + conj(c(-n))) / 2."""
     return 0.5 * (coeffs + np.conj(coeffs[..., ::-1, ::-1]))
-
-
-# ---------------------------------------------------------------------------
-# public field types
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -155,7 +194,8 @@ class SpectralField:
     """Hermitian Fourier coefficients of a real field, cutoff ``n_max``.
 
     ``coeffs[i, j]`` is the coefficient of the mode ``(i - n_max, j - n_max)``.
-    Instances are immutable; all operations return new fields.
+    The validated, immutable full square of one field: the type of the field
+    dumps in :mod:`wicknlw.reporting`.
     """
 
     n_max: int
@@ -202,107 +242,3 @@ class SpectralField:
     def l2_norm_sq(self) -> float:
         """Squared L^2 norm (normalized measure) via Parseval."""
         return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if other.n_max != self.n_max:
-            raise ValueError("cutoffs differ; project first")
-        return SpectralField(self.n_max, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return self + (-other)
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.n_max, -self.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.n_max, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Real field values on the uniform m_grid x m_grid collocation grid."""
-
-    m_grid: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.m_grid, self.m_grid):
-            raise ValueError(
-                f"values must be ({self.m_grid}, {self.m_grid}), got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def mean(self) -> float:
-        """Integral over the torus in the normalized measure."""
-        return float(np.mean(self.values))
-
-
-@dataclass(frozen=True)
-class SobolevNormSpec:
-    """Parameters of the weighted norm || <grad>^s . ||_{L^r}."""
-
-    s: float
-    r: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError("integrability exponent r must be >= 2")
-
-
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-
-def project(f: SpectralField, n_cut: int) -> SpectralField:
-    """Sharp Fourier projection onto the Euclidean ball |n| <= n_cut.
-
-    The output cutoff is min(n_cut, f.n_max); projecting above the stored
-    cutoff returns f unchanged.
-    """
-    if n_cut < 0:
-        raise ValueError("projection cutoff must be nonnegative")
-    if n_cut >= f.n_max:
-        return f
-    lo, hi = f.n_max - n_cut, f.n_max + n_cut + 1
-    c = f.coeffs[lo:hi, lo:hi].copy()
-    c[~ball_mask(n_cut)] = 0.0
-    return SpectralField(n_cut, c)
-
-
-def to_grid(f: SpectralField, m_grid: int) -> GridField:
-    """Evaluate the field on the M x M collocation grid (M > 2 * n_max)."""
-    vals = grid_from_half(half_from_full(f.coeffs), m_grid)
-    return GridField(m_grid, vals)
-
-
-def from_grid(g: GridField, n_cut: int) -> SpectralField:
-    """Fourier analysis of a grid field, truncated to the ball |n| <= n_cut."""
-    half = half_from_grid(g.values, n_cut)
-    return SpectralField(n_cut, _symmetrize(full_from_half(half)))
-
-
-def sobolev_norm(f: SpectralField, spec: SobolevNormSpec) -> float:
-    """Weighted Sobolev norm with the plain bracket <n> = sqrt(1 + |n|^2).
-
-    For r = 2 this is the coefficient-side sum
-    ``(sum <n>^{2s} |c_n|^2)^{1/2}``.  For r > 2 the coefficients are
-    multiplied by <n>^s and the grid L^r norm (mean of |.|^r, then r-th
-    root) is taken on a refined grid; this is exact for even integer r
-    and a high-order quadrature otherwise.
-    """
-    bracket_sq = 1.0 + mode_norms_sq(f.n_max)
-    if spec.r == 2.0:
-        w = bracket_sq ** spec.s
-        return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
-    weighted = SpectralField(f.n_max, f.coeffs * bracket_sq ** (spec.s / 2.0))
-    m = alias_free_grid(f.n_max, max(int(np.ceil(spec.r)) - 1, 1))
-    vals = to_grid(weighted, m).values
-    return float(np.mean(np.abs(vals) ** spec.r) ** (1.0 / spec.r))

@@ -12,7 +12,7 @@ of variance 1/2) mirrored by conjugation, and real unit-variance zero modes.
 
 Randomness is counter-based: sample ``index`` under master ``seed`` uses a
 Philox stream with key ``(seed << 64) + index``, so any subset of samples
-can be generated in any order, on any number of workers, with identical
+can be generated in any order, and in blocks of any size, with identical
 results.  Within one sample the draw order is fixed: one block of shape
 (4, K, K) of standard normals, rows = (re_u, im_u, re_v, im_v).
 """
@@ -25,12 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (SpectralField, _lattice, ball_mask, half_from_full,
-                     mode_norms_sq)
+from .fields import _lattice, ball_mask, half_from_full, mode_norms_sq
 
 __all__ = [
     "MuParams",
-    "PhaseState",
+    "sample_pair_half",
     "sample_free_field",
     "point_variance",
     "covariance_field",
@@ -53,28 +52,6 @@ class MuParams:
         if self.rho <= 0:
             # the massless zero mode has no normalizable law on the torus
             raise ValueError("mass parameter rho must be positive")
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """A position/velocity pair (u, v) sharing cutoff and mass parameter."""
-
-    u: SpectralField
-    v: SpectralField
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.u.n_max != self.v.n_max:
-            raise ValueError("u and v must share the same cutoff")
-        if self.rho <= 0:
-            raise ValueError("mass parameter rho must be positive")
-
-    @property
-    def n_max(self) -> int:
-        return self.u.n_max
-
-    def __neg__(self) -> "PhaseState":
-        return PhaseState(-self.u, -self.v, self.rho)
 
 
 def rng_for_sample(seed: int, index: int) -> np.random.Generator:
@@ -157,14 +134,11 @@ def sample_pair_half(params: MuParams, n_samples: int,
     return half_from_full(u), half_from_full(v)
 
 
-def sample_free_field(params: MuParams, index: int = 0) -> PhaseState:
-    """Draw the free-measure sample with the given index under params.seed."""
-    u, v = _sample_pair_arrays(params, 1, index)
-    return PhaseState(
-        SpectralField(params.n_max, u[0]),
-        SpectralField(params.n_max, v[0]),
-        params.rho,
-    )
+def sample_free_field(params: MuParams,
+                      index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Half-layout (u, v) of the free-measure sample ``index`` under params.seed."""
+    u, v = sample_pair_half(params, 1, index)
+    return u[0], v[0]
 
 
 def point_variance(n_cut: int, rho: float) -> float:
@@ -181,17 +155,18 @@ def point_variance(n_cut: int, rho: float) -> float:
     return float(np.sum(w[ball_mask(n_cut)]))
 
 
-def covariance_field(n_cut: int, rho: float) -> SpectralField:
-    """Covariance kernel of the cutoff free field as a spectral field.
+def covariance_field(n_cut: int, rho: float) -> np.ndarray:
+    """Fourier coefficients of the covariance kernel of the cutoff free field.
 
-    The coefficient at n is 1/(rho + |n|^2) inside the ball, zero outside;
-    the kernel is real, even, and its value at x = 0 is the point variance.
+    A real (K, K) square: 1/(rho + |n|^2) inside the ball, zero outside.
+    The kernel is real and even, and its value at x = 0 is the point
+    variance.
     """
     if rho <= 0:
         raise ValueError("mass parameter rho must be positive")
-    c = (1.0 / (rho + mode_norms_sq(n_cut))).astype(complex)
-    c[~ball_mask(n_cut)] = 0.0
-    return SpectralField(n_cut, c)
+    gam = 1.0 / (rho + mode_norms_sq(n_cut))
+    gam[~ball_mask(n_cut)] = 0.0
+    return gam
 
 
 def _convolve_ball(table: np.ndarray, gam: np.ndarray) -> np.ndarray:
@@ -216,8 +191,7 @@ def _chaos_table(ell: int, n_cut: int, rho: float) -> np.ndarray:
     Computed by iterated direct convolution on the square [-ell*N, ell*N]^2,
     which is exact (no truncation) for band-limited input.
     """
-    gam = 1.0 / (rho + mode_norms_sq(n_cut))
-    gam[~ball_mask(n_cut)] = 0.0
+    gam = covariance_field(n_cut, rho)
     table = gam
     for _ in range(ell - 1):
         table = _convolve_ball(table, gam)

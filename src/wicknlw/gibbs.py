@@ -44,7 +44,6 @@ __all__ = [
     "ChainOptions",
     "sample_gibbs_arrays",
     "importance_weights",
-    "rn_moment_study",
     "single_mode_moment_quadrature",
 ]
 
@@ -257,28 +256,6 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
     })
     pots = engine.wick_potential_values(u, ctx)
     return u, v, pots, diag
-
-
-def rn_moment_study(ctx_list: list[WickContext], p_list: list[float],
-                    n_samples: int, seed: int = 0) -> list[dict]:
-    """Monte Carlo E[density^p] under the free measure, across cutoffs.
-
-    Returns one row per (N, p) with the estimate and its standard error.
-    Estimates at larger cutoffs are dominated by rare deep-potential
-    samples, so treat the bands qualitatively.
-    """
-    rows = []
-    for ctx in ctx_list:
-        params = MuParams(ctx.n_max, ctx.rho, seed)
-        u, _ = sample_pair_half(params, n_samples)
-        pots = engine.wick_potential_values(u, ctx)
-        for p in p_list:
-            vals = np.exp(-p * pots)
-            est = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-            rows.append({"n_max": ctx.n_max, "p": p, "estimate": est,
-                         "stderr": se})
-    return rows
 
 
 def single_mode_moment_quadrature(rho: float, m: int = 1,

@@ -3,9 +3,11 @@
 The Wick power of degree k of a cutoff-N field u replaces u(x)^k by
 H_k(u(x); sigma_N) node by node, where sigma_N is the pointwise variance of
 the cutoff free field.  Renormalization is therefore a purely pointwise
-operation on collocation grids; projecting the result back to spectral
-space is the caller's job.  A degree-k power is evaluated on the smallest
-grid that keeps its retained modes alias-free, ``(k + 1) N + 1`` nodes.
+operation on collocation grids.  :func:`wick_power` and
+:func:`wick_binomial` return the complete spectrum of the power, cutoff kN,
+from the grid 2kN + 1 on which every one of those modes is exact; the
+equation's force, projected back to cutoff N, is
+:func:`wicknlw.engine.wick_force` on the smaller context grid.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .fields import GridField, SpectralField, alias_free_grid, project, to_grid
+from .fields import alias_free_grid, grid_from_half, half_from_grid
 from .free_field import point_variance
 
 __all__ = [
@@ -24,7 +26,6 @@ __all__ = [
     "hermite_values",
     "wick_power",
     "wick_binomial",
-    "scaling_identity_check",
 ]
 
 
@@ -118,43 +119,41 @@ def hermite(k: int, x: float, sigma: float) -> float:
     return float(hermite_values(k, np.asarray(x, dtype=float), sigma))
 
 
-def wick_power(u: SpectralField, k: int, ctx: WickContext) -> GridField:
-    """Degree-k Wick power of the projected field, on its alias-free grid.
+def _spectrum_grid(z: np.ndarray, k: int) -> tuple[int, int]:
+    """(cutoff N of z, grid 2kN + 1) of a degree-k Wick power spectrum."""
+    if k < 1:
+        raise ValueError("Wick power degree must be >= 1")
+    n_cut = (z.shape[-2] - 1) // 2
+    return n_cut, alias_free_grid(n_cut, 2 * k - 1)
 
-    The value at node x_j is H_k((P_N u)(x_j); sigma); modes of u above the
-    context cutoff are rejected rather than silently projected away.
+
+def wick_power(z: np.ndarray, k: int, sigma: float) -> np.ndarray:
+    """Complete spectrum of H_k(z; sigma) for half-layout z, batched.
+
+    The result has cutoff kN, the full support of the power of a cutoff-N
+    field, and is computed on the grid M = 2kN + 1 (at least 4), on which
+    every one of its modes is exact.
     """
-    if u.n_max > ctx.n_max:
-        raise ValueError("field cutoff exceeds the Wick context cutoff")
-    # degree 0 still needs M > 2N to put the field on the grid
-    g = to_grid(project(u, ctx.n_max), alias_free_grid(ctx.n_max, max(k, 1)))
-    return GridField(g.m_grid, hermite_values(k, g.values, ctx.sigma))
+    n_cut, m_grid = _spectrum_grid(z, k)
+    g = grid_from_half(z, m_grid)
+    return half_from_grid(hermite_values(k, g, sigma), k * n_cut)
 
 
-def wick_binomial(z: SpectralField, w: SpectralField, k: int,
-                  ctx: WickContext) -> GridField:
-    """Binomial Wick expansion of :(z + w)^k: on the grid of :func:`wick_power`.
+def wick_binomial(z: np.ndarray, w: np.ndarray, k: int,
+                  sigma: float) -> np.ndarray:
+    """Binomial Wick expansion of :(z + w)^k:, laid out as :func:`wick_power`.
 
     Only the z factors carry Wick constants:
     sum_l C(k, l) * H_l(z; sigma) * w^{k - l}.
     """
-    if z.n_max > ctx.n_max or w.n_max > ctx.n_max:
-        raise ValueError("field cutoff exceeds the Wick context cutoff")
-    m_grid = alias_free_grid(ctx.n_max, max(k, 1))
-    zg = to_grid(project(z, ctx.n_max), m_grid).values
-    wg = to_grid(project(w, ctx.n_max), m_grid).values
-    total = np.zeros_like(zg)
-    w_pow = np.ones_like(wg)
-    # accumulate l = k down to 0 so w_pow builds up as w^{k-l}
-    for ell in range(k, -1, -1):
-        total += comb(k, ell) * hermite_values(ell, zg, ctx.sigma) * w_pow
+    if z.shape[-2:] != w.shape[-2:]:
+        raise ValueError("z and w must share one cutoff")
+    n_cut, m_grid = _spectrum_grid(z, k)
+    zg, wg = grid_from_half(z, m_grid), grid_from_half(w, m_grid)
+    total = hermite_values(k, zg, sigma)
+    w_pow = wg
+    # l = k - 1 down to 0, so w_pow builds up as w^{k-l}
+    for ell in range(k - 1, -1, -1):
+        total = total + comb(k, ell) * hermite_values(ell, zg, sigma) * w_pow
         w_pow = w_pow * wg
-    return GridField(m_grid, total)
-
-
-def scaling_identity_check(k: int, x: float, sigma: float,
-                           rtol: float = 1e-10) -> bool:
-    """True iff H_k(x; sigma) == sigma^{k/2} H_k(x / sqrt(sigma); 1) within rtol."""
-    lhs = hermite(k, x, sigma)
-    rhs = sigma ** (k / 2.0) * hermite(k, x / np.sqrt(sigma), 1.0)
-    return abs(lhs - rhs) <= rtol * (1.0 + abs(lhs))
+    return half_from_grid(total, k * n_cut)

@@ -16,6 +16,7 @@ import pytest
 
 import wicknlw as w
 from wicknlw.experiments import NONLINEARITIES, scaled_forcing_grid
+from wicknlw.fields import half_from_full
 from wicknlw.engine import hamiltonian_values
 from wicknlw.free_field import sample_pair_half
 from wicknlw.gibbs import ChainOptions, importance_weights, sample_gibbs_arrays
@@ -65,15 +66,16 @@ def test_criterion_01_hermite_algebra():
 
 
 def test_criterion_02_wick_binomial_identity():
-    ctx = w.WickContext.create(8, 1.0, 1)
+    sigma = w.point_variance(8, 1.0)
     ok = True
     worst = 0.0
     for trial in range(3):
-        z = random_field(8, 200 + trial)
-        wv = random_field(8, 300 + trial)
+        z = half_from_full(random_field(8, 200 + trial).coeffs)
+        wv = half_from_full(random_field(8, 300 + trial).coeffs)
         for k in range(1, 6):
-            got = w.wick_binomial(z, wv, k, ctx).values
-            want = w.wick_power(z + wv, k, ctx).values
+            # complete spectra of both sides, cutoff kN
+            got = w.wick_binomial(z, wv, k, sigma)
+            want = w.wick_power(z + wv, k, sigma)
             scale = np.max(np.abs(want)) + 1.0
             rel = float(np.max(np.abs(got - want)) / scale)
             worst = max(worst, rel)

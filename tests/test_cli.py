@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wicknlw import MuParams, WickContext, sample_free_field
+from wicknlw import MuParams, SpectralField, WickContext, sample_free_field
 from wicknlw import cli as cli_module
 from wicknlw.experiments import observable_matrix
-from wicknlw.fields import half_from_full, mode_norms_sq
+from wicknlw.fields import full_from_half, half_from_full, mode_norms_sq
 from wicknlw.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -159,11 +159,13 @@ class TestDispatch:
         assert [int(r["index"]) for r in rows] == list(range(7))
         lam2 = 1.5 + mode_norms_sq(3)
         for r in rows:
-            st = sample_free_field(MuParams(3, 1.5, 13), int(r["index"]))
-            quad = 0.5 * np.sum(lam2 * np.abs(st.u.coeffs) ** 2
-                                + np.abs(st.v.coeffs) ** 2)
-            for key, want in (("l2_u_sq", st.u.l2_norm_sq()),
-                              ("l2_v_sq", st.v.l2_norm_sq()),
+            # references on the full coefficient squares
+            u, v = (SpectralField(3, full_from_half(a)) for a in
+                    sample_free_field(MuParams(3, 1.5, 13), int(r["index"])))
+            quad = 0.5 * np.sum(lam2 * np.abs(u.coeffs) ** 2
+                                + np.abs(v.coeffs) ** 2)
+            for key, want in (("l2_u_sq", u.l2_norm_sq()),
+                              ("l2_v_sq", v.l2_norm_sq()),
                               ("quadratic_energy", quad)):
                 assert float(r[key]) == pytest.approx(want, rel=1e-12), key
 
@@ -243,6 +245,7 @@ class TestDispatch:
         ["universality", "--s", "0.1"],
         ["chaos", "--ell-max", "5"],
         ["chaos", "--n-list", "4,1"],
+        ["chaos", "--n-list", "4,4"],
         ["chaos", "--samples", "1"],
         ["invariance", "--n", "2", "--T", "-1"],
         ["invariance", "--n", "2", "--samples", "1", "--T", "0.01"],
@@ -250,6 +253,12 @@ class TestDispatch:
         ["invariance", "--method", "importance", "--T", "1"],
         ["gibbs", "--method", "nuts"],
         ["evolve", "--init", "foo"],
+        ["sample", "--rho", "nan"],
+        ["chaos", "--t-eval", "nan"],
+        ["evolve", "--T", "inf", "--dt", "0.01"],
+        ["evolve", "--T", "nan"],
+        ["evolve", "--dt", "nan"],
+        ["universality", "--s", "nan"],
     ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
     def test_bad_study_input_exits_two_with_record(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
@@ -266,6 +275,27 @@ class TestDispatch:
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
         record = json.loads((tmp_path / argv[0] / "error.json").read_text())
         assert record["message"] == message
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--rho", "nan"], "rho must be finite"),
+        (["evolve", "--T", "inf"], "T must be finite"),
+        (["invariance", "--z-threshold=-inf"], "z_threshold must be finite"),
+        (["chaos", "--n-list", "4,4"],
+         "cutoff list [4, 4] must be strictly increasing"),
+    ], ids=["rho_nan", "T_inf", "z_threshold_minus_inf", "n_list_repeated"])
+    def test_rejected_setting_is_named(self, tmp_path, argv, message):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        record = json.loads((tmp_path / argv[0] / "error.json").read_text())
+        assert record["message"] == message
+
+    def test_every_float_setting_must_be_finite(self):
+        floats = [f for f, spec in RunConfig.__dataclass_fields__.items()
+                  if spec.type == "float"]
+        assert "rho" in floats and "s" in floats
+        for key in floats:
+            for bad in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigError, match=f"^{key} must be finite$"):
+                    RunConfig("sample", **{key: bad}).validate()
 
     @pytest.mark.parametrize("text, message", [
         ("n = x\n", "run.cfg:1: invalid literal"),

@@ -30,8 +30,8 @@ from wicknlw.experiments import (
     scaled_force_fn,
     scaled_forcing_grid,
 )
-from wicknlw.fields import alias_free_grid
-from wicknlw.free_field import sample_pair_half
+from wicknlw.fields import alias_free_grid, project
+from wicknlw.free_field import sample_free_field, sample_pair_half
 from wicknlw.gibbs import ChainOptions
 from wicknlw.wick import hermite_values
 
@@ -39,7 +39,7 @@ from wicknlw.wick import hermite_values
 class TestObservables:
     def test_matrix_matches_public_functions(self):
         # references on the full coefficient square: Parseval sums and the
-        # Wick power on the context grid
+        # zero mode of the quartic Wick power
         from conftest import random_field
         from wicknlw import wick_power
         from wicknlw.fields import half_from_full, mode_norms_sq
@@ -52,7 +52,8 @@ class TestObservables:
         quad = 0.5 * np.sum((1.0 + mode_norms_sq(3)) * np.abs(u.coeffs) ** 2
                             + np.abs(v.coeffs) ** 2)
         assert mat[0] == pytest.approx(u.l2_norm_sq() - ctx.sigma, rel=1e-12)
-        assert mat[1] == pytest.approx(wick_power(u, 4, ctx).mean() / 4, rel=1e-12)
+        quartic = wick_power(half_from_full(u.coeffs), 4, ctx.sigma)
+        assert mat[1] == pytest.approx(quartic[12, 0].real / 4, rel=1e-12)
         assert mat[2] == pytest.approx(abs(u.coeff(0, 0)) ** 2)
         assert mat[3] == pytest.approx(abs(u.coeff(1, 0)) ** 2)
         assert mat[4] == pytest.approx(abs(u.coeff(1, 1)) ** 2)
@@ -146,28 +147,6 @@ class TestChaosStudy:
         rep = chaos_convergence_study(2, [2], 1.0, 0.3, 0.25, 500, seed=12)
         assert {(r["ell"], r["n_max"]) for r in rep.cauchy_rows} == {(1, 2), (2, 2)}
         assert all(r["distance"] > 0 for r in rep.cauchy_rows)
-
-
-class TestWickSpectrum:
-    def test_cube_spectrum_matches_convolution_oracle(self):
-        # algebraic identity per field: coefficients of H_3(u; s) equal the
-        # threefold self-convolution of u's coefficients minus 3 s u_hat
-        from scipy.signal import convolve2d
-
-        from conftest import random_field
-        from wicknlw.experiments import wick_power_spectrum
-        from wicknlw.fields import full_from_half, half_from_full
-
-        n = 2
-        f = random_field(n, 33)
-        sig = point_variance(n, 1.0)
-        got = full_from_half(
-            wick_power_spectrum(half_from_full(f.coeffs)[None], 3, sig, n))[0]
-        conv3 = convolve2d(convolve2d(f.coeffs, f.coeffs), f.coeffs)
-        lo = 3 * n - n
-        conv3[lo : lo + 2 * n + 1, lo : lo + 2 * n + 1] -= 3.0 * sig * f.coeffs
-        scale = np.max(np.abs(conv3))
-        assert np.max(np.abs(got - conv3)) < 1e-12 * scale
 
 
 class TestHermiteMoments:
@@ -265,9 +244,9 @@ class TestEvolveScaled:
         t2 = evolve_scaled(0.5, NONLINEARITIES["sin"], 1.0, 0.02, 1e-2, seed=4,
                            n_master=4)
         np.testing.assert_array_equal(t1.u, t2.u)
-        # the data are the master sample truncated to the working cutoff
-        u, _ = sample_pair_half(MuParams(4, 1.0, 4), 1)
-        np.testing.assert_array_equal(t1.u[0], experiments._truncate_half(u[0], 4, 2))
+        # the data are the master sample projected to the working cutoff
+        u, _ = sample_free_field(MuParams(4, 1.0, 4))
+        np.testing.assert_array_equal(t1.u[0], project(u, 2))
 
 
 class TestBlockInvariance:

@@ -1,4 +1,4 @@
-"""Spectral/grid representation: transforms, projection, norms."""
+"""Half-layout fields: transforms, projection, norms; the full-square type."""
 
 import numpy as np
 import pytest
@@ -6,20 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wicknlw import (
-    SobolevNormSpec,
     SpectralField,
-    from_grid,
+    grid_from_half,
+    half_from_grid,
     project,
     sobolev_norm,
-    to_grid,
 )
-from wicknlw.fields import alias_free_grid
+from wicknlw.fields import (alias_free_grid, full_from_half, half_from_full,
+                            mode_norms_sq)
 from wicknlw.reporting import read_field_csv, write_field_csv
 
 from conftest import random_field
 
 
 cutoffs = st.integers(min_value=0, max_value=6)
+
+
+def half(f: SpectralField) -> np.ndarray:
+    return half_from_full(f.coeffs)
+
+
+def zeros_half(n_max: int) -> np.ndarray:
+    return np.zeros((2 * n_max + 1, n_max + 1), dtype=complex)
 
 
 class TestSpectralField:
@@ -44,13 +52,6 @@ class TestSpectralField:
         f = SpectralField.from_modes(2, {(1, 0): 0.5 + 0.25j})
         assert f.coeff(-1, 0) == np.conj(f.coeff(1, 0))
 
-    def test_arithmetic(self):
-        f = random_field(3, 0)
-        g = random_field(3, 1)
-        h = f + g - f
-        np.testing.assert_allclose(h.coeffs, g.coeffs, atol=1e-15)
-        np.testing.assert_allclose((2.0 * f).coeffs, 2 * f.coeffs)
-
     def test_coeffs_immutable(self):
         f = random_field(2, 0)
         with pytest.raises(ValueError):
@@ -66,26 +67,43 @@ class TestSpectralField:
 
 class TestProject:
     def test_identity_at_own_cutoff(self):
-        f = random_field(4, 2)
-        assert project(f, 4) is f
-        assert project(f, 7) is f
+        h = half(random_field(4, 2))
+        p = project(h, 4)
+        np.testing.assert_array_equal(p, h)
+        assert not np.shares_memory(p, h)
+        with pytest.raises(ValueError, match="outside"):
+            project(h, 7)
+
+    def test_rejects_cutoffs_outside_stored_range(self):
+        h = half(random_field(3, 1))
+        for n_cut in (-1, 4):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                project(h, n_cut)
+
+    def test_batched_rows_equal_per_row_calls(self):
+        batch = np.stack([[half(random_field(5, 10 * i + j)) for j in range(2)]
+                          for i in range(3)])
+        got = project(batch, 3)
+        assert got.shape == (3, 2, 7, 4)
+        for i in range(3):
+            for j in range(2):
+                np.testing.assert_array_equal(got[i, j], project(batch[i, j], 3))
 
     def test_idempotent(self):
-        f = random_field(5, 3)
-        p1 = project(f, 3)
+        p1 = project(half(random_field(5, 3)), 3)
         p2 = project(p1, 3)
-        np.testing.assert_array_equal(p1.coeffs, p2.coeffs)
+        np.testing.assert_array_equal(p1, p2)
 
     def test_all_modes_above_cutoff(self):
         f = SpectralField.from_modes(3, {(3, 0): 1.0})
-        p = project(f, 2)
-        assert p.n_max == 2
-        assert np.all(p.coeffs == 0)
+        p = project(half(f), 2)
+        assert p.shape == (5, 3)
+        assert np.all(p == 0)
 
     def test_euclidean_ball(self):
         # (2,2) has |n| = sqrt(8) > 2, so projecting to 2 drops it
         f = SpectralField.from_modes(3, {(2, 2): 1.0, (1, 1): 2.0})
-        p = project(f, 2)
+        p = SpectralField(2, full_from_half(project(half(f), 2)))
         assert p.coeff(2, 2) == 0
         assert p.coeff(1, 1) == 2.0
 
@@ -94,24 +112,23 @@ class TestProject:
     def test_self_adjoint(self, n_max, n_cut, seed):
         f = random_field(n_max, seed)
         h = random_field(n_max, seed + 1)
-        pf, ph = project(f, n_cut), project(h, n_cut)
         k = min(n_cut, n_max)
+        pf, ph = (full_from_half(project(half(g), k)) for g in (f, h))
         lo, hi = n_max - k, n_max + k + 1
-        lhs = np.sum(pf.coeffs * np.conj(h.coeffs[lo:hi, lo:hi]))
-        rhs = np.sum(f.coeffs[lo:hi, lo:hi] * np.conj(ph.coeffs))
+        lhs = np.sum(pf * np.conj(h.coeffs[lo:hi, lo:hi]))
+        rhs = np.sum(f.coeffs[lo:hi, lo:hi] * np.conj(ph))
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
 
 class TestTransforms:
     def test_zero_field(self):
-        g = to_grid(SpectralField.zeros(2), 8)
-        assert np.all(g.values == 0)
+        g = grid_from_half(zeros_half(2), 8)
+        assert np.all(g == 0)
 
     def test_constant_mode(self):
-        g = to_grid(SpectralField.from_modes(2, {(0, 0): 2.5}), 8)
-        np.testing.assert_allclose(g.values, 2.5)
-        f = from_grid(g, 0)
-        assert f.coeff(0, 0) == pytest.approx(2.5)
+        g = grid_from_half(half(SpectralField.from_modes(2, {(0, 0): 2.5})), 8)
+        np.testing.assert_allclose(g, 2.5)
+        assert half_from_grid(g, 0)[0, 0] == pytest.approx(2.5)
 
     def test_matches_direct_summation(self):
         # independent oracle: evaluate the Fourier sum termwise
@@ -124,16 +141,16 @@ class TestTransforms:
                 phase = np.exp(1j * (n1 * x[:, None] + n2 * x[None, :]))
                 direct += f.coeff(n1, n2) * phase
         assert np.max(np.abs(direct.imag)) < 1e-13
-        np.testing.assert_allclose(to_grid(f, m).values, direct.real,
+        np.testing.assert_allclose(grid_from_half(half(f), m), direct.real,
                                    atol=1e-12)
 
     def test_single_cosine(self):
         f = SpectralField.from_modes(1, {(1, 0): 0.5})
-        g = to_grid(f, 8)
+        g = grid_from_half(half(f), 8)
         x = 2 * np.pi * np.arange(8) / 8
         expected = np.broadcast_to(np.cos(x)[:, None], (8, 8))
-        np.testing.assert_allclose(g.values, expected, atol=1e-14)
-        back = from_grid(g, 1)
+        np.testing.assert_allclose(g, expected, atol=1e-14)
+        back = SpectralField(1, full_from_half(half_from_grid(g, 1)))
         assert back.coeff(1, 0) == pytest.approx(0.5)
         assert back.coeff(-1, 0) == pytest.approx(0.5)
 
@@ -141,41 +158,36 @@ class TestTransforms:
     @settings(max_examples=25, deadline=None)
     def test_round_trip(self, n_max, seed):
         f = random_field(n_max, seed)
-        m = 2 * n_max + 1
-        g = to_grid(f, m)
-        back = from_grid(g, n_max)
+        back = full_from_half(half_from_grid(grid_from_half(half(f), 2 * n_max + 1),
+                                             n_max))
         scale = max(np.max(np.abs(f.coeffs)), 1e-30)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12 * scale
+        assert np.max(np.abs(back - f.coeffs)) < 1e-12 * scale
 
     @given(cutoffs, st.integers(0, 50))
     @settings(max_examples=25, deadline=None)
     def test_parseval(self, n_max, seed):
         f = random_field(n_max, seed)
-        g = to_grid(f, 2 * n_max + 1)
+        g = grid_from_half(half(f), 2 * n_max + 1)
         coeff_side = np.sum(np.abs(f.coeffs) ** 2)
-        grid_side = np.mean(g.values**2)
+        grid_side = np.mean(g**2)
         assert grid_side == pytest.approx(coeff_side, rel=1e-12, abs=1e-12)
 
     def test_alias_guards(self):
-        f = random_field(4, 0)
+        h = half(random_field(4, 0))
         with pytest.raises(ValueError, match="alias"):
-            to_grid(f, 8)
-        g = to_grid(f, 16)
+            grid_from_half(h, 8)
+        g = grid_from_half(h, 16)
         with pytest.raises(ValueError):
-            from_grid(g, 8)
+            half_from_grid(g, 8)
 
     def test_alias_free_grid_rule(self):
         m = alias_free_grid(8, 3)
         assert m > 4 * 8
         # products of degree 3 at cutoff 8 are exact on this grid
-        f = random_field(8, 1)
-        g = to_grid(f, m)
-        cube = from_grid(
-            type(g)(m, g.values**3), 8
-        )
-        big = to_grid(f, 64)
-        cube_ref = from_grid(type(big)(64, big.values**3), 8)
-        np.testing.assert_allclose(cube.coeffs, cube_ref.coeffs, atol=1e-12)
+        h = half(random_field(8, 1))
+        cube = half_from_grid(grid_from_half(h, m) ** 3, 8)
+        cube_ref = half_from_grid(grid_from_half(h, 64) ** 3, 8)
+        np.testing.assert_allclose(cube, cube_ref, atol=1e-12)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_alias_free_grid_is_smallest(self, degree):
@@ -186,11 +198,11 @@ class TestTransforms:
 
 class TestSobolevNorm:
     def test_zero(self):
-        assert sobolev_norm(SpectralField.zeros(3), SobolevNormSpec(s=-0.5)) == 0.0
+        assert sobolev_norm(zeros_half(3), -0.5) == 0.0
 
     def test_constant(self):
         f = SpectralField.from_modes(2, {(0, 0): 3.0})
-        assert sobolev_norm(f, SobolevNormSpec(s=4.2)) == pytest.approx(3.0)
+        assert sobolev_norm(half(f), 4.2) == pytest.approx(3.0)
 
     def test_pair_of_modes_weighted(self):
         # independent summation oracle for the s = -1 case
@@ -199,7 +211,7 @@ class TestSobolevNorm:
             (1 + n1 * n1 + n2 * n2) ** (-1.0) * abs(f.coeff(n1, n2)) ** 2
             for n1 in (-1, 0, 1) for n2 in (-1, 0, 1)
         ))
-        got = sobolev_norm(f, SobolevNormSpec(s=-1.0))
+        got = sobolev_norm(half(f), -1.0)
         assert got == pytest.approx(expected)
         assert got == pytest.approx(0.5)
 
@@ -210,14 +222,14 @@ class TestSobolevNorm:
         for n1 in range(-3, 4):
             for n2 in range(-3, 4):
                 acc += (1 + n1 * n1 + n2 * n2) ** s * abs(f.coeff(n1, n2)) ** 2
-        assert sobolev_norm(f, SobolevNormSpec(s=s)) == pytest.approx(np.sqrt(acc))
+        assert sobolev_norm(half(f), s) == pytest.approx(np.sqrt(acc))
 
-    def test_l4_of_cosine(self):
-        # mean of cos^4 is 3/8; the L^4 norm is (3/8)^{1/4}
-        f = SpectralField.from_modes(1, {(1, 0): 0.5})
-        got = sobolev_norm(f, SobolevNormSpec(s=0.0, r=4.0))
-        assert got == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-12)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SobolevNormSpec(s=0.0, r=1.5)
+    @pytest.mark.parametrize("s", [-1.0, -0.1, 0.0, 1.0])
+    def test_batched_matches_full_square_sum(self, s):
+        # reference: sum <n>^{2s} |c_n|^2 over the full square of each field
+        fields = [random_field(5, 60 + i) for i in range(4)]
+        got = sobolev_norm(np.stack([half(f) for f in fields]), s)
+        bracket = (1.0 + mode_norms_sq(5)) ** s
+        want = [np.sqrt(np.sum(bracket * np.abs(f.coeffs) ** 2)) for f in fields]
+        assert got.shape == (4,)
+        np.testing.assert_allclose(got, want, rtol=1e-12)

@@ -7,19 +7,17 @@ import pytest
 
 from wicknlw import (
     MuParams,
-    PhaseState,
-    SpectralField,
     chaos_second_moment,
     chaos_spectrum,
     covariance_field,
+    grid_from_half,
     point_variance,
     sample_free_field,
-    to_grid,
 )
 from wicknlw import free_field
 from wicknlw.free_field import sample_pair_half
 from wicknlw.engine import l2_norm_sq
-from wicknlw.fields import half_from_full
+from wicknlw.fields import ball_mask, half_from_full
 
 
 class TestPointVariance:
@@ -55,21 +53,22 @@ class TestPointVariance:
 class TestCovarianceField:
     def test_single_mode(self):
         g = covariance_field(0, 2.0)
-        assert g.coeff(0, 0) == pytest.approx(0.5)
+        assert g[0, 0] == pytest.approx(0.5)
 
     def test_unit_mode(self):
-        assert covariance_field(1, 1.0).coeff(1, 0) == pytest.approx(0.5)
+        # entry [i, j] is the mode (i - N, j - N); (1, 0) at N = 1
+        assert covariance_field(1, 1.0)[2, 1] == pytest.approx(0.5)
 
     def test_value_at_origin_is_point_variance(self):
         for n, rho in ((1, 1.0), (4, 0.7), (8, 2.0)):
             g = covariance_field(n, rho)
-            vals = to_grid(g, 2 * n + 1).values
+            vals = grid_from_half(half_from_full(g), 2 * n + 1)
             assert vals[0, 0] == pytest.approx(point_variance(n, rho), rel=1e-12)
 
     def test_real_even(self):
         g = covariance_field(3, 1.3)
-        assert np.max(np.abs(g.coeffs.imag)) == 0.0
-        np.testing.assert_array_equal(g.coeffs, g.coeffs[::-1, ::-1])
+        assert g.shape == (7, 7) and np.isrealobj(g)
+        np.testing.assert_array_equal(g, g[::-1, ::-1])
 
 
 class TestChaosOracle:
@@ -133,7 +132,7 @@ class TestChaosOracle:
         from scipy.signal import convolve2d
 
         n_cut = 16
-        gam = free_field.covariance_field(n_cut, 1.0).coeffs.real
+        gam = free_field.covariance_field(n_cut, 1.0)
         two = convolve2d(gam, gam)
         np.testing.assert_allclose(chaos_spectrum(2, n_cut, 1.0), 2.0 * two,
                                    rtol=1e-13, atol=0)
@@ -159,27 +158,28 @@ class TestChaosOracle:
 class TestSampling:
     def test_deterministic(self):
         p = MuParams(4, 1.0, seed=42)
-        a = sample_free_field(p, 3)
-        b = sample_free_field(p, 3)
-        np.testing.assert_array_equal(a.u.coeffs, b.u.coeffs)
-        np.testing.assert_array_equal(a.v.coeffs, b.v.coeffs)
+        (ua, va), (ub, vb) = sample_free_field(p, 3), sample_free_field(p, 3)
+        np.testing.assert_array_equal(ua, ub)
+        np.testing.assert_array_equal(va, vb)
 
     def test_distinct_indices_differ(self):
         p = MuParams(4, 1.0, seed=42)
-        a = sample_free_field(p, 0)
-        b = sample_free_field(p, 1)
-        assert not np.array_equal(a.u.coeffs, b.u.coeffs)
+        assert not np.array_equal(sample_free_field(p, 0)[0],
+                                  sample_free_field(p, 1)[0])
 
     def test_single_mode_real(self):
         p = MuParams(0, 4.0, seed=7)
-        s = sample_free_field(p, 0)
-        assert s.u.coeffs.imag == 0
-        assert s.v.coeffs.imag == 0
+        u, v = sample_free_field(p, 0)
+        assert u.shape == v.shape == (1, 1)
+        assert u.imag == 0
+        assert v.imag == 0
 
     def test_hermitian_and_ball(self):
-        s = sample_free_field(MuParams(5, 1.0, seed=1), 0)
-        c = s.u.coeffs
-        np.testing.assert_allclose(c, np.conj(c[::-1, ::-1]), atol=0)
+        # the column n2 = 0 holds both n1 and -n1: c(-n1, 0) = conj(c(n1, 0))
+        for c in sample_free_field(MuParams(5, 1.0, seed=1), 0):
+            assert c.shape == (11, 6)
+            np.testing.assert_array_equal(c[::-1, 0], np.conj(c[:, 0]))
+            assert np.all(c[~ball_mask(5)[:, 5:]] == 0)
 
     @pytest.mark.parametrize("block", [None, 3])
     def test_batch_matches_per_index_samples(self, monkeypatch, block):
@@ -190,9 +190,9 @@ class TestSampling:
         p = MuParams(5, 1.3, seed=19)
         u, v = sample_pair_half(p, 4, start_index=6)
         for i in range(4):
-            s = sample_free_field(p, 6 + i)
-            np.testing.assert_array_equal(u[i], half_from_full(s.u.coeffs))
-            np.testing.assert_array_equal(v[i], half_from_full(s.v.coeffs))
+            ui, vi = sample_free_field(p, 6 + i)
+            np.testing.assert_array_equal(u[i], ui)
+            np.testing.assert_array_equal(v[i], vi)
 
     def test_mean_l2_matches_point_variance(self):
         n, rho = 4, 1.0
@@ -215,9 +215,3 @@ class TestSampling:
             MuParams(4, 0.0)
         with pytest.raises(ValueError):
             MuParams(-1, 1.0)
-
-    def test_phase_state_validation(self):
-        u = SpectralField.zeros(2)
-        v = SpectralField.zeros(3)
-        with pytest.raises(ValueError):
-            PhaseState(u, v, 1.0)

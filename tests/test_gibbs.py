@@ -11,13 +11,12 @@ from wicknlw import (
     SpectralField,
     WickContext,
     importance_weights,
-    rn_moment_study,
     single_mode_moment_quadrature,
     wick_power,
 )
 from wicknlw.engine import (half_geometry, l2_norm_sq, wick_mass_values,
                             wick_potential_values)
-from wicknlw.fields import full_from_half, half_from_full
+from wicknlw.fields import half_from_full
 from wicknlw.free_field import sample_pair_half
 from wicknlw.gibbs import sample_gibbs_arrays
 
@@ -26,6 +25,11 @@ from conftest import random_field
 
 def half(field: SpectralField) -> np.ndarray:
     return half_from_full(field.coeffs)
+
+
+def grid_mean(spectrum: np.ndarray) -> float:
+    """Integral over the torus: the zero mode of a half spectrum."""
+    return float(spectrum[(spectrum.shape[-2] - 1) // 2, 0].real)
 
 
 class TestPotentialAndMass:
@@ -40,7 +44,7 @@ class TestPotentialAndMass:
         want = (c**4 - 6 * ctx.sigma * c**2 + 3 * ctx.sigma**2) / 4
         u = SpectralField.from_modes(2, {(0, 0): c})
         assert wick_potential_values(half(u), ctx) == pytest.approx(want)
-        assert wick_power(u, 4, ctx).mean() / 4 == pytest.approx(want)
+        assert grid_mean(wick_power(half(u), 4, ctx.sigma)) / 4 == pytest.approx(want)
 
     def test_potential_even(self):
         ctx = WickContext.create(3, 1.0, 1)
@@ -58,7 +62,8 @@ class TestPotentialAndMass:
         u = random_field(4, 5)
         want = u.l2_norm_sq() - ctx.sigma
         assert wick_mass_values(half(u), ctx) == pytest.approx(want, rel=1e-12)
-        assert wick_power(u, 2, ctx).mean() == pytest.approx(want, rel=1e-12)
+        assert grid_mean(wick_power(half(u), 2, ctx.sigma)) == pytest.approx(
+            want, rel=1e-12)
 
     def test_mass_mean_and_variance_under_mu(self):
         # E = 0 and Var = 2 sum <n>^{-4} (= 4 at N = 1) for the Wick square
@@ -95,15 +100,14 @@ class TestImportance:
 
     def test_log_density_matches_potential(self):
         # log-weights are -potential up to a constant, and the potentials
-        # agree with the Wick power of each sample on the context grid
+        # agree with the zero mode of each sample's quartic Wick power
         params = MuParams(1, 1.0, seed=3)
         ctx = WickContext.create(1, 1.0, 1)
         u, _, pots, _ = sample_gibbs_arrays(params, ctx, 20, method="importance")
         logw = np.log(importance_weights(pots))
         np.testing.assert_allclose(logw - logw[0], -(pots - pots[0]), atol=1e-12)
         for ui, p in zip(u, pots):
-            field = SpectralField(1, full_from_half(ui))
-            assert p == pytest.approx(wick_power(field, 4, ctx).mean() / 4,
+            assert p == pytest.approx(grid_mean(wick_power(ui, 4, ctx.sigma)) / 4,
                                       rel=1e-12)
 
 
@@ -238,25 +242,6 @@ class TestSamplerConsistency:
                 assert wm == cm, name
             else:
                 assert abs(wm - cm) <= tol, name
-
-
-class TestMomentStudy:
-    def test_p_zero_is_one(self):
-        ctxs = [WickContext.create(1, 1.0, 1), WickContext.create(2, 1.0, 1)]
-        rows = rn_moment_study(ctxs, [0.0], 50, seed=1)
-        assert all(r["estimate"] == 1.0 for r in rows)
-
-    def test_single_sample_power(self):
-        ctx = WickContext.create(1, 1.0, 1)
-        rows = rn_moment_study([ctx], [2.0], 1, seed=4)
-        u, _ = sample_pair_half(MuParams(1, 1.0, 4), 1)
-        want = math.exp(-2.0 * float(wick_potential_values(u, ctx)[0]))
-        assert rows[0]["estimate"] == pytest.approx(want, rel=1e-12)
-
-    def test_estimates_finite_positive(self):
-        ctxs = [WickContext.create(n, 1.0, 1) for n in (1, 2, 4)]
-        rows = rn_moment_study(ctxs, [1.0, 2.0], 2000, seed=2)
-        assert all(np.isfinite(r["estimate"]) and r["estimate"] > 0 for r in rows)
 
 
 class TestQuadratureOracle:

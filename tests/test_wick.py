@@ -9,16 +9,32 @@ from wicknlw import (
     SpectralField,
     WickContext,
     engine,
-    from_grid,
+    grid_from_half,
+    half_from_grid,
     hermite,
     hermite_values,
-    scaling_identity_check,
-    to_grid,
+    point_variance,
+    project,
     wick_binomial,
     wick_power,
 )
-from wicknlw.fields import half_from_full
+from wicknlw.fields import full_from_half, half_from_full
 from conftest import random_field
+
+
+def half(f: SpectralField) -> np.ndarray:
+    return half_from_full(f.coeffs)
+
+
+def zeros_half(n_max: int) -> np.ndarray:
+    return np.zeros((2 * n_max + 1, n_max + 1), dtype=complex)
+
+
+def zero_mode_only(spectrum: np.ndarray, value: float) -> np.ndarray:
+    """A half spectrum of the same cutoff holding value at n = 0 only."""
+    want = np.zeros_like(spectrum)
+    want[(spectrum.shape[-2] - 1) // 2, 0] = value
+    return want
 
 xs = st.floats(min_value=-5.0, max_value=5.0)
 sigmas = st.floats(min_value=0.5, max_value=5.0)
@@ -46,15 +62,22 @@ class TestHermite:
         assert hermite(3, 1.0, 1.0) == pytest.approx(-2.0)
         assert hermite(4, 2.0, 3.0) == pytest.approx(-29.0)
 
+    @staticmethod
+    def _scaling_identity_holds(k, x, sigma):
+        # H_k(x; sigma) = sigma^{k/2} H_k(x / sqrt(sigma); 1)
+        lhs = hermite(k, x, sigma)
+        rhs = sigma ** (k / 2.0) * hermite(k, x / np.sqrt(sigma), 1.0)
+        return abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
     @given(st.integers(0, 8), xs, sigmas)
     @settings(max_examples=60, deadline=None)
     def test_scaling_identity(self, k, x, sigma):
-        assert scaling_identity_check(k, x, sigma)
+        assert self._scaling_identity_holds(k, x, sigma)
 
     def test_scaling_identity_desk_values(self):
-        assert scaling_identity_check(2, 2.0, 4.0)
-        assert scaling_identity_check(3, 1.0, 1.0)
-        assert scaling_identity_check(5, 1.7, 2.3)
+        assert self._scaling_identity_holds(2, 2.0, 4.0)
+        assert self._scaling_identity_holds(3, 1.0, 1.0)
+        assert self._scaling_identity_holds(5, 1.7, 2.3)
 
     def test_derivative_identity_richardson(self):
         # (H_k(x+h) - H_k(x-h)) / 2h -> k H_{k-1}(x), error O(h^2)
@@ -116,62 +139,87 @@ class TestWickContext:
 
 class TestWickPower:
     def test_zero_field_even_degree(self):
-        ctx = WickContext.create(3, 1.0, 1)
-        g = wick_power(SpectralField.zeros(3), 4, ctx)
-        np.testing.assert_allclose(g.values, 3 * ctx.sigma**2)
+        sigma = point_variance(3, 1.0)
+        got = wick_power(zeros_half(3), 4, sigma)
+        np.testing.assert_allclose(got, zero_mode_only(got, 3 * sigma**2),
+                                   rtol=0, atol=1e-12 * sigma**2)
 
     def test_zero_field_odd_degree(self):
-        ctx = WickContext.create(3, 1.0, 1)
-        g = wick_power(SpectralField.zeros(3), 3, ctx)
-        np.testing.assert_allclose(g.values, 0.0)
+        got = wick_power(zeros_half(3), 3, point_variance(3, 1.0))
+        np.testing.assert_allclose(got, 0.0, rtol=0, atol=0)
 
     def test_constant_field_degree_two(self):
-        ctx = WickContext.create(2, 1.0, 1)
-        c = 1.7
-        g = wick_power(SpectralField.from_modes(2, {(0, 0): c}), 2, ctx)
-        np.testing.assert_allclose(g.values, c * c - ctx.sigma)
+        sigma, c = point_variance(2, 1.0), 1.7
+        got = wick_power(half(SpectralField.from_modes(2, {(0, 0): c})), 2, sigma)
+        np.testing.assert_allclose(got, zero_mode_only(got, c * c - sigma),
+                                   rtol=0, atol=1e-12 * sigma)
+
+    def test_rejects_degree_below_one(self):
+        with pytest.raises(ValueError, match="degree"):
+            wick_power(zeros_half(2), 0, 1.0)
 
     def test_cutoff_guard(self):
-        ctx = WickContext.create(2, 1.0, 1)
-        with pytest.raises(ValueError):
-            wick_power(random_field(3, 0), 2, ctx)
+        # the binomial expansion needs z and w at one cutoff
+        with pytest.raises(ValueError, match="cutoff"):
+            wick_binomial(zeros_half(2), zeros_half(3), 2, 1.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_grid_is_smallest_alias_free(self, k):
-        ctx = WickContext.create(8, 1.0, 1)
-        assert wick_power(random_field(8, 1), k, ctx).m_grid == (k + 1) * 8 + 1
+    def test_output_cutoff_is_k_n(self, k):
+        # the complete spectrum of a degree-k power of a cutoff-8 field,
+        # with the batch axes carried through
+        u = np.stack([half(random_field(8, 1)), half(random_field(8, 2))])
+        assert wick_power(u, k, 1.0).shape == (2, 16 * k + 1, 8 * k + 1)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_force_degree_matches_engine_force(self, m):
         ctx = WickContext.create(4, 1.0, m)
-        u = random_field(4, 9)
-        got = half_from_full(from_grid(wick_power(u, 2 * m + 1, ctx), 4).coeffs)
-        want = engine.wick_force(half_from_full(u.coeffs), ctx)
+        u = half(random_field(4, 9))
+        got = project(wick_power(u, 2 * m + 1, ctx.sigma), 4)
+        want = engine.wick_force(u, ctx)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestWickSpectrum:
+    def test_cube_spectrum_matches_convolution_oracle(self):
+        # algebraic identity per field: coefficients of H_3(u; s) equal the
+        # threefold self-convolution of u's coefficients minus 3 s u_hat
+        from scipy.signal import convolve2d
+
+        n = 2
+        f = random_field(n, 33)
+        sig = point_variance(n, 1.0)
+        got = full_from_half(wick_power(half(f)[None], 3, sig))[0]
+        conv3 = convolve2d(convolve2d(f.coeffs, f.coeffs), f.coeffs)
+        lo = 3 * n - n
+        conv3[lo : lo + 2 * n + 1, lo : lo + 2 * n + 1] -= 3.0 * sig * f.coeffs
+        scale = np.max(np.abs(conv3))
+        assert np.max(np.abs(got - conv3)) < 1e-12 * scale
 
 
 class TestWickBinomial:
     def test_w_zero_reduces_to_wick_power(self):
-        ctx = WickContext.create(3, 1.0, 1)
-        z = random_field(3, 4)
-        got = wick_binomial(z, SpectralField.zeros(3), 3, ctx)
-        want = wick_power(z, 3, ctx)
-        np.testing.assert_allclose(got.values, want.values, atol=1e-12)
+        sigma = point_variance(3, 1.0)
+        z = half(random_field(3, 4))
+        got = wick_binomial(z, zeros_half(3), 3, sigma)
+        want = wick_power(z, 3, sigma)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_z_zero_gives_wick_constants(self):
         # H_l(0) kills odd l; even l contributes binomial * Hermite constant
-        ctx = WickContext.create(3, 1.0, 1)
-        w = random_field(3, 5)
-        got = wick_binomial(SpectralField.zeros(3), w, 3, ctx)
-        wg = to_grid(w, got.m_grid).values
-        want = wg**3 + 3 * (-ctx.sigma) * wg  # C(3,2) H_2(0) w = 3(-sigma)w
-        np.testing.assert_allclose(got.values, want, atol=1e-10)
+        sigma = point_variance(3, 1.0)
+        w = half(random_field(3, 5))
+        got = wick_binomial(zeros_half(3), w, 3, sigma)
+        wg = grid_from_half(w, 2 * 3 * 3 + 1)
+        want = half_from_grid(wg**3 + 3 * (-sigma) * wg, 9)  # C(3,2) H_2(0) w
+        np.testing.assert_allclose(got, want, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_wick_power_of_sum(self, k):
-        ctx = WickContext.create(4, 1.0, 1)
-        z, w = random_field(4, 6), random_field(4, 7)
-        got = wick_binomial(z, w, k, ctx).values
-        want = wick_power(z + w, k, ctx).values
+        sigma = point_variance(4, 1.0)
+        z = np.stack([half(random_field(4, 6 + 10 * i)) for i in range(3)])
+        w = np.stack([half(random_field(4, 7 + 10 * i)) for i in range(3)])
+        got = wick_binomial(z, w, k, sigma)
+        want = wick_power(z + w, k, sigma)
+        assert got.shape == want.shape == (3, 8 * k + 1, 4 * k + 1)
         scale = np.max(np.abs(want)) + 1.0
         assert np.max(np.abs(got - want)) < 1e-10 * scale
