@@ -49,6 +49,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_STATISTICAL = 4
 
+# most Strang steps T / dt one run may plan; criterion 08 takes 1000
+MAX_STEPS = 10 ** 6
+
 
 def _setting(default, help_text: str):
     """A RunConfig field whose flag shows ``help_text`` in ``--help``."""
@@ -111,6 +114,11 @@ class RunConfig:
                               f"choices: {sorted(NONLINEARITIES)}")
         if not 0 < self.blend <= 1:
             raise ConfigError("blend must lie in (0, 1]")
+        steps = self.T / self.resolved_dt()
+        if steps > MAX_STEPS:
+            raise ConfigError(f"T / dt = {self.T:g} / {self.resolved_dt():g} "
+                              f"plans {steps:.3g} steps, above the budget of "
+                              f"{MAX_STEPS:g}; raise dt or lower T")
 
     def resolved_dt(self) -> float:
         return self.dt if self.dt > 0 else default_dt(self.n, self.rho)

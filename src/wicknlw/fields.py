@@ -107,7 +107,9 @@ def half_weights(n_max: int) -> np.ndarray:
     return colw
 
 
-@lru_cache(maxsize=None)
+# bounded: a benchmark workload's CLI run meets at most 21 (N, M) pairs,
+# and a longer sweep rebuilds the evicted tables
+@lru_cache(maxsize=32)
 def _dft_factors(n_max: int, m_grid: int):
     """Per-axis DFT factors, built once per (N, M): e1[j, k] = e^{i n1_k x_j}
     for both directions along n1, and real [cos; -sin] n2 tables acting on

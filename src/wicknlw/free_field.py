@@ -14,7 +14,9 @@ Randomness is counter-based: sample ``index`` under master ``seed`` uses a
 Philox stream with key ``(seed << 64) + index``, so any subset of samples
 can be generated in any order, and in blocks of any size, with identical
 results.  Within one sample the draw order is fixed: one block of shape
-(4, K, K) of standard normals, rows = (re_u, im_u, re_v, im_v).
+(4, K, K) of standard normals, rows = (re_u, im_u, re_v, im_v), indexed
+like the full coefficient square.  The draws are assembled straight into
+the half layout (columns n2 >= 0); no full square is built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import _lattice, ball_mask, half_from_full, mode_norms_sq
+from .fields import ball_mask, mode_norms_sq
 
 __all__ = [
     "MuParams",
@@ -62,25 +64,6 @@ def rng_for_sample(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _hermitian_unit_gaussians(block_re: np.ndarray, block_im: np.ndarray,
-                              n_max: int) -> np.ndarray:
-    """Assemble conjugate-symmetric complex Gaussians with E|g|^2 = 1.
-
-    Independent draws live on the lexicographically positive half lattice
-    (n1 > 0, or n1 = 0 and n2 > 0); the rest is the conjugate mirror and the
-    zero mode is real.
-    """
-    nx, ny, ball = _lattice(n_max)
-    g = (block_re + 1j * block_im) / np.sqrt(2.0)
-    out = np.zeros_like(g)
-    pos = (nx > 0) | ((nx == 0) & (ny > 0))
-    out[..., pos] = g[..., pos]
-    out[..., ::-1, ::-1][..., pos] = np.conj(g[..., pos])
-    out[..., n_max, n_max] = block_re[..., n_max, n_max]
-    out[..., ~ball] = 0.0
-    return out
-
-
 # float64 values (2 MiB) held by the largest array of one block of a batched
 # sample loop; bounds the working set, so peak memory does not grow with the
 # number of samples
@@ -97,41 +80,51 @@ def _block_size(values_per_sample: int) -> int:
     return max(1, _BLOCK_VALUES // values_per_sample)
 
 
-def _hermitian_draws(rngs: list[np.random.Generator], n_max: int,
-                     rows: int) -> list[np.ndarray]:
-    """One (rows, K, K) standard-normal block per stream, in stream order,
-    assembled into rows // 2 stacked Hermitian unit-Gaussian squares.
+def _free_halves(rngs: list[np.random.Generator], params: MuParams,
+                 rows: int = 4, first: int = 0) -> list[np.ndarray]:
+    """Free-measure draws in half layout, stacked over the streams ``rngs``.
 
-    Only the draws run per stream; the assembly runs once on the batch.
+    Each stream draws one (rows, K, K) standard-normal block, in stream
+    order; row pairs (0, 1) make u and (2, 3) make v.  Only the pairs from
+    row ``first`` on are assembled into Hermitian unit Gaussians
+    g = (re + i im) / sqrt(2): rows n1 > 0 take the draws at n2 >= 0, row
+    n1 = 0 those at n2 > 0, rows n1 < 0 the conjugates of the draws at
+    (-n1, -n2), and the zero mode is the real draw re(0, 0).  Modes outside
+    the ball are assigned zero, and u is scaled by 1 / <n>_rho.
     """
-    k = 2 * n_max + 1
+    n = params.n_max
+    k = 2 * n + 1
     block = np.empty((len(rngs), rows, k, k))
     for rng, out in zip(rngs, block):
         rng.standard_normal(out=out)
-    return [_hermitian_unit_gaussians(block[:, j], block[:, j + 1], n_max)
-            for j in range(0, rows, 2)]
+    outside = ~ball_mask(n)[:, n:]
+    halves = []
+    for j in range(first, rows, 2):
+        g = (block[:, j, n:] + 1j * block[:, j + 1, n:]) / np.sqrt(2.0)
+        half = np.empty((len(rngs), k, n + 1), dtype=complex)
+        half[:, n:] = g[..., n:]
+        half[:, :n] = np.conj(g[:, :0:-1, n::-1])
+        half[:, n, 0] = block[:, j, n, n]
+        half[:, outside] = 0.0
+        if j == 0:
+            half *= 1.0 / np.sqrt(params.rho + mode_norms_sq(n)[:, n:])
+        halves.append(half)
+    return halves
 
 
-def _sample_pair_arrays(params: MuParams, n_samples: int,
-                        start_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (u, v) coefficient squares for samples start .. start+n_samples-1."""
+def sample_pair_half(params: MuParams, n_samples: int,
+                     start_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Batched samples in half-spectrum layout (columns n2 >= 0), as
+    contiguous (n_samples, K, N+1) arrays."""
     k = 2 * params.n_max + 1
-    u = np.empty((n_samples, k, k), dtype=complex)
+    u = np.empty((n_samples, k, params.n_max + 1), dtype=complex)
     v = np.empty_like(u)
     step = _block_size(4 * k * k)
     for lo in range(0, n_samples, step):
         hi = min(lo + step, n_samples)
         rngs = [rng_for_sample(params.seed, start_index + i) for i in range(lo, hi)]
-        u[lo:hi], v[lo:hi] = _hermitian_draws(rngs, params.n_max, 4)
-    u *= 1.0 / np.sqrt(params.rho + mode_norms_sq(params.n_max))
+        u[lo:hi], v[lo:hi] = _free_halves(rngs, params)
     return u, v
-
-
-def sample_pair_half(params: MuParams, n_samples: int,
-                     start_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Batched samples in half-spectrum layout (columns n2 >= 0)."""
-    u, v = _sample_pair_arrays(params, n_samples, start_index)
-    return half_from_full(u), half_from_full(v)
 
 
 def sample_free_field(params: MuParams,

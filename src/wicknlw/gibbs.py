@@ -35,8 +35,7 @@ import numpy as np
 
 from . import engine
 from .dynamics import DynParams, wick_kick
-from .fields import half_from_full
-from .free_field import (MuParams, _hermitian_draws, point_variance,
+from .free_field import (MuParams, _free_halves, point_variance,
                          rng_for_sample, sample_pair_half)
 from .wick import WickContext, hermite_values
 
@@ -82,24 +81,6 @@ def importance_weights(potentials: np.ndarray) -> np.ndarray:
     """Self-normalized weights exp(-potential) of free samples."""
     w = np.exp(-(potentials - potentials.min()))
     return w / w.sum()
-
-
-def _scheduler_rng(seed: int) -> np.random.Generator:
-    # reserved stream for shared schedule draws (trajectory-length jitter)
-    return np.random.Generator(
-        np.random.Philox(key=((int(seed) % (1 << 64)) << 64) | ((1 << 64) - 1))
-    )
-
-
-def _chain_mu_half(rngs: list[np.random.Generator], params: MuParams,
-                   want_v: bool):
-    """Stacked free-measure draws, one per chain-local stream."""
-    draws = _hermitian_draws(rngs, params.n_max, 4 if want_v else 2)
-    amp = 1.0 / np.sqrt(engine.half_geometry(params.n_max, params.rho)[2])
-    u_half = half_from_full(draws[0]) * amp
-    if not want_v:
-        return u_half
-    return u_half, half_from_full(draws[1])
 
 
 def _split_rhat(series: np.ndarray) -> float:
@@ -154,7 +135,7 @@ def _run_chains(params: MuParams, ctx: WickContext, n_samples: int,
     keep_v = np.empty_like(keep_u)
     pot_series = np.empty((moves, n_chains))
     rngs = [rng_for_sample(params.seed, c) for c in range(n_chains)]
-    cur = _chain_mu_half(rngs, params, want_v=False)
+    cur = _free_halves(rngs, params, rows=2)[0]
     pot_cur = engine.wick_potential_values(cur, ctx)
     accepted = 0
     for mv in range(moves):
@@ -170,7 +151,7 @@ def _run_chains(params: MuParams, ctx: WickContext, n_samples: int,
             idx = lag // opts.thin - 1
             if idx < per_chain:
                 keep_u[:, idx] = cur
-                keep_v[:, idx] = _chain_mu_half(rngs, params, want_v=True)[1]
+                keep_v[:, idx] = _free_halves(rngs, params, first=2)[0]
     return keep_u, keep_v, pot_series, accepted / (moves * n_chains)
 
 
@@ -180,7 +161,7 @@ def _blend_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions):
     mix = math.sqrt(1.0 - b * b)
 
     def propose(mv, cur, pot_cur, rngs):
-        xi = _chain_mu_half(rngs, params, want_v=False)
+        xi = _free_halves(rngs, params, rows=2)[0]
         prop = mix * cur + b * xi
         pot_prop = engine.wick_potential_values(prop, ctx)
         return prop, pot_prop, pot_cur - pot_prop
@@ -196,13 +177,15 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     if dt is None:
         dt = opts.traj_time / 40.0
     base_steps = max(int(round(opts.traj_time / dt)), 1)
-    sched = _scheduler_rng(params.seed)
+    # stream index 2**64 - 1 is reserved for the shared schedule draws
+    # (trajectory-length jitter); chains use the indices from 0 up
+    sched = rng_for_sample(params.seed, (1 << 64) - 1)
     lengths = base_steps + sched.integers(-_JITTER, _JITTER + 1, size=moves)
     lengths = np.maximum(lengths, 1)
     force = wick_kick(DynParams(ctx, dt))
 
     def propose(mv, cur, pot_cur, rngs):
-        v = _chain_mu_half(rngs, params, want_v=True)[1]
+        v = _free_halves(rngs, params, first=2)[0]
         h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
         u_new, v_new = engine.run_steps_blocked(cur, v, ctx, dt,
                                                 int(lengths[mv]), force)

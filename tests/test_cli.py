@@ -258,6 +258,7 @@ class TestDispatch:
         ["evolve", "--T", "inf", "--dt", "0.01"],
         ["evolve", "--T", "nan"],
         ["evolve", "--dt", "nan"],
+        ["evolve", "--n", "2", "--T", "1e7", "--dt", "0.01"],
         ["universality", "--s", "nan"],
     ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
     def test_bad_study_input_exits_two_with_record(self, tmp_path, capsys, argv):

@@ -12,22 +12,14 @@ from wicknlw import (
     project,
     sobolev_norm,
 )
-from wicknlw.fields import (alias_free_grid, full_from_half, half_from_full,
+from wicknlw.fields import (_dft_factors, alias_free_grid, full_from_half,
                             mode_norms_sq)
 from wicknlw.reporting import read_field_csv, write_field_csv
 
-from conftest import random_field
+from conftest import half, random_field, zeros_half
 
 
 cutoffs = st.integers(min_value=0, max_value=6)
-
-
-def half(f: SpectralField) -> np.ndarray:
-    return half_from_full(f.coeffs)
-
-
-def zeros_half(n_max: int) -> np.ndarray:
-    return np.zeros((2 * n_max + 1, n_max + 1), dtype=complex)
 
 
 class TestSpectralField:
@@ -194,6 +186,19 @@ class TestTransforms:
         # the bound M > (p + 1) N is tight, with a floor of 4 nodes
         for n_max in range(65):
             assert alias_free_grid(n_max, degree) == max((degree + 1) * n_max + 1, 4)
+
+    def test_dft_table_cache_is_bounded(self):
+        # a sweep over 40 (N, M) pairs evicts the first tables, and a
+        # rebuilt table is bit-equal to the evicted one
+        first = _dft_factors(2, 7)
+        saved = [t.tobytes() for t in first]
+        for n_max in range(4):
+            for m_grid in range(9, 19):
+                _dft_factors(n_max, m_grid)
+        assert _dft_factors.cache_info().currsize <= 32
+        rebuilt = _dft_factors(2, 7)
+        assert rebuilt is not first
+        assert [t.tobytes() for t in rebuilt] == saved
 
 
 class TestSobolevNorm:

@@ -19,6 +19,8 @@ from wicknlw.free_field import sample_pair_half
 from wicknlw.engine import l2_norm_sq
 from wicknlw.fields import ball_mask, half_from_full
 
+from conftest import reference_free_halves
+
 
 class TestPointVariance:
     def test_single_mode(self):
@@ -180,6 +182,17 @@ class TestSampling:
             assert c.shape == (11, 6)
             np.testing.assert_array_equal(c[::-1, 0], np.conj(c[:, 0]))
             assert np.all(c[~ball_mask(5)[:, 5:]] == 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 8])
+    def test_half_assembly_matches_full_square_mirror(self, n):
+        # bit for bit, signed zeros included, against the full-square
+        # mirror assembly of each (seed, index) stream cut to the half layout
+        p = MuParams(n, 1.3, seed=29)
+        u, v = sample_pair_half(p, 5, start_index=2)
+        want_u, want_v = reference_free_halves(29, range(2, 7), n, 1.3)
+        assert u.tobytes() == want_u.tobytes()
+        assert v.tobytes() == want_v.tobytes()
+        assert u.flags.c_contiguous and v.flags.c_contiguous
 
     @pytest.mark.parametrize("block", [None, 3])
     def test_batch_matches_per_index_samples(self, monkeypatch, block):

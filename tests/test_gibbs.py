@@ -14,17 +14,11 @@ from wicknlw import (
     single_mode_moment_quadrature,
     wick_power,
 )
-from wicknlw.engine import (half_geometry, l2_norm_sq, wick_mass_values,
-                            wick_potential_values)
-from wicknlw.fields import half_from_full
-from wicknlw.free_field import sample_pair_half
+from wicknlw.engine import l2_norm_sq, wick_mass_values, wick_potential_values
+from wicknlw.free_field import _free_halves, rng_for_sample, sample_pair_half
 from wicknlw.gibbs import sample_gibbs_arrays
 
-from conftest import random_field
-
-
-def half(field: SpectralField) -> np.ndarray:
-    return half_from_full(field.coeffs)
+from conftest import half, random_field, reference_free_halves
 
 
 def grid_mean(spectrum: np.ndarray) -> float:
@@ -184,30 +178,30 @@ class TestHMC:
 class TestChainDraws:
     @pytest.mark.parametrize("want_v", [False, True])
     def test_stacked_draws_match_per_stream_assembly(self, want_v):
-        # one (rows, K, K) standard-normal block per chain stream, in
-        # stream order, assembled one chain at a time
-        from wicknlw.fields import half_from_full
-        from wicknlw.free_field import _hermitian_unit_gaussians, rng_for_sample
-        from wicknlw.gibbs import _chain_mu_half
+        # positions come from a 2-row block per chain stream, velocities
+        # from rows 2 and 3 of a 4-row block; both match the full-square
+        # assembly of each stream bit for bit and consume the same draws
+        n, rho, seed = 3, 1.7, 23
+        params = MuParams(n, rho, seed=seed)
+        rows, first = (4, 2) if want_v else (2, 0)
+        (want,) = reference_free_halves(seed, range(5), n, rho, rows, first)
+        rngs = [rng_for_sample(seed, c) for c in range(5)]
+        (got,) = _free_halves(rngs, params, rows, first)
+        assert got.tobytes() == want.tobytes()
+        for c, rng in enumerate(rngs):
+            ref = rng_for_sample(seed, c)
+            ref.standard_normal((rows, 2 * n + 1, 2 * n + 1))
+            assert rng.uniform() == ref.uniform()
 
-        n, rows = 3, 4 if want_v else 2
-        params = MuParams(n, 1.7, seed=23)
-        amp = 1.0 / np.sqrt(half_geometry(n, 1.7)[2])
-        want_u, want_vel = [], []
-        for c in range(5):
-            block = rng_for_sample(23, c).standard_normal((rows, 2 * n + 1, 2 * n + 1))
-            want_u.append(half_from_full(
-                _hermitian_unit_gaussians(block[0], block[1], n)) * amp)
-            if want_v:
-                want_vel.append(half_from_full(
-                    _hermitian_unit_gaussians(block[2], block[3], n)))
-        got = _chain_mu_half([rng_for_sample(23, c) for c in range(5)], params,
-                             want_v)
-        if want_v:
-            np.testing.assert_array_equal(got[0], np.stack(want_u))
-            np.testing.assert_array_equal(got[1], np.stack(want_vel))
-        else:
-            np.testing.assert_array_equal(got, np.stack(want_u))
+    @pytest.mark.parametrize("seed", [0, 23, -5])
+    def test_scheduler_stream_is_the_reserved_index(self, seed):
+        # the hmc trajectory-length jitter draws from the stream keyed
+        # (seed mod 2^64) << 64 | (2^64 - 1), the last sample index
+        key = ((seed % (1 << 64)) << 64) | ((1 << 64) - 1)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = rng_for_sample(seed, (1 << 64) - 1)
+        np.testing.assert_array_equal(got.integers(-3, 4, size=64),
+                                      want.integers(-3, 4, size=64))
 
 
 class TestSamplerConsistency:

@@ -18,16 +18,8 @@ from wicknlw import (
     wick_binomial,
     wick_power,
 )
-from wicknlw.fields import full_from_half, half_from_full
-from conftest import random_field
-
-
-def half(f: SpectralField) -> np.ndarray:
-    return half_from_full(f.coeffs)
-
-
-def zeros_half(n_max: int) -> np.ndarray:
-    return np.zeros((2 * n_max + 1, n_max + 1), dtype=complex)
+from wicknlw.fields import full_from_half
+from conftest import half, random_field, zeros_half
 
 
 def zero_mode_only(spectrum: np.ndarray, value: float) -> np.ndarray:
