@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .dynamics import DynParams, IntegrationError, default_dt, evolve
+from .dynamics import DynParams, IntegrationError, default_dt, evolve, record_count
 from .experiments import (
     NONLINEARITIES,
     chaos_convergence_study,
@@ -51,6 +51,8 @@ EXIT_STATISTICAL = 4
 
 # most Strang steps T / dt one run may plan; criterion 08 takes 1000
 MAX_STEPS = 10 ** 6
+# most bytes of recorded (u, v) states one evolve run may keep
+MAX_RECORD_BYTES = 2 ** 30
 
 
 def _setting(default, help_text: str):
@@ -119,9 +121,24 @@ class RunConfig:
             raise ConfigError(f"T / dt = {self.T:g} / {self.resolved_dt():g} "
                               f"plans {steps:.3g} steps, above the budget of "
                               f"{MAX_STEPS:g}; raise dt or lower T")
+        if self.subcommand == "evolve":
+            rec = self.resolved_record_every()
+            records = record_count(self.T, self.resolved_dt(), rec)
+            nbytes = records * 2 * (2 * self.n + 1) * (self.n + 1) * 16
+            if nbytes > MAX_RECORD_BYTES:
+                raise ConfigError(
+                    f"T / dt / record_every = {self.T:g} / {self.resolved_dt():g}"
+                    f" / {rec} keeps {records:.3g} records, {nbytes / 2**20:.0f}"
+                    f" MiB of states, above the budget of "
+                    f"{MAX_RECORD_BYTES / 2**20:.0f} MiB; raise record_every or"
+                    f" dt, or lower T")
 
     def resolved_dt(self) -> float:
         return self.dt if self.dt > 0 else default_dt(self.n, self.rho)
+
+    def resolved_record_every(self) -> int:
+        """record_every, or about 200 records over T when it is 0."""
+        return self.record_every or max(1, int(round(self.T / self.resolved_dt() / 200)))
 
     def eps_values(self) -> list[float]:
         try:
@@ -285,7 +302,7 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> int:
         u = v = np.zeros((2 * cfg.n + 1, cfg.n + 1), dtype=complex)
     else:
         u, v = sample_free_field(MuParams(cfg.n, cfg.rho, cfg.seed))
-    rec = cfg.record_every or max(1, int(round(cfg.T / dt / 200)))
+    rec = cfg.resolved_record_every()
     traj = evolve(u, v, cfg.T, dyn, record_every=rec)
     header, rows = trajectory_table(traj, ctx)
     write_csv(outdir / "trajectory.csv", header, rows)

@@ -27,6 +27,7 @@ __all__ = [
     "IntegrationError",
     "evolve",
     "default_dt",
+    "record_count",
     "step_schedule",
     "wick_kick",
 ]
@@ -73,6 +74,8 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         if not len(t) == len(self.u) == len(self.v):
             raise ValueError("times and states must align")
+        if np.shape(self.u) != np.shape(self.v):
+            raise ValueError("u and v records must share one shape")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -94,6 +97,13 @@ def step_schedule(t_final: float, dt: float) -> tuple[int, float]:
     if remainder < 1e-9 * dt:
         remainder = 0.0
     return n_steps, remainder
+
+
+def record_count(t_final: float, dt: float, record_every: int) -> int:
+    """Records ``evolve`` keeps: the initial state, one per ``record_every``
+    whole steps (the last span may be shorter) and one partial step."""
+    n_steps, remainder = step_schedule(t_final, dt)
+    return 1 + -(-n_steps // record_every) + (remainder > 0.0)
 
 
 def wick_kick(p: DynParams):
@@ -132,12 +142,13 @@ def evolve(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
                 for lo in range(0, n_steps, record_every)]
     if remainder > 0.0:
         segments.append((remainder, 1, t_final))
-    times, us, vs = [0.0], [u], [v]
-    for h, steps, t in segments:
-        u, v = engine.run_steps(u, v, n_max, rho, h, steps, kick)
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+    # one record per segment plus the initial state, written in place
+    us = np.empty((len(segments) + 1,) + np.shape(u), dtype=complex)
+    vs = np.empty_like(us)
+    us[0], vs[0] = u, v
+    for i, (h, steps, t) in enumerate(segments, 1):
+        us[i], vs[i] = engine.run_steps(us[i - 1], vs[i - 1], n_max, rho, h,
+                                        steps, kick)
+        if not (np.isfinite(us[i]).all() and np.isfinite(vs[i]).all()):
             raise IntegrationError(t)
-        times.append(t)
-        us.append(u)
-        vs.append(v)
-    return Trajectory(np.asarray(times), np.stack(us), np.stack(vs))
+    return Trajectory(np.array([0.0] + [t for *_, t in segments]), us, vs)

@@ -13,7 +13,7 @@ from wicknlw import (
     evolve,
     hermite,
 )
-from wicknlw.dynamics import Trajectory, default_dt
+from wicknlw.dynamics import Trajectory, default_dt, record_count, wick_kick
 from wicknlw.fields import ball_mask, full_from_half, half_from_full
 from wicknlw.free_field import sample_pair_half
 
@@ -168,8 +168,42 @@ class TestStepAndEvolve:
             Trajectory(np.array([0.0, 0.0]), np.stack([u, u]), np.stack([v, v]))
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.stack([u, u]), v[None])
+        # stacks at two cutoffs: the lengths align, the shapes do not
+        w = random_state(3, 0)[1]
+        with pytest.raises(ValueError, match="one shape"):
+            Trajectory(np.array([0.0, 1.0]), np.stack([u, u]), np.stack([w, w]))
         with pytest.raises(ValueError, match="half layout"):
             evolve(u, v, 0.1, DynParams(WickContext.create(3, 1.0, 1), 1e-2))
+
+
+    def test_record_stacks_equal_chained_segments(self):
+        # 10 whole steps in spans of 3, 3, 3, 1, then a partial step
+        ctx = WickContext.create(3, 1.0, 1)
+        dyn = DynParams(ctx, 0.01)
+        u, v = random_state(3, 4, scale=0.5)
+        traj = evolve(u, v, 0.105, dyn, record_every=3)
+        assert traj.u.shape == traj.v.shape == (6, 7, 4)
+        assert record_count(0.105, 0.01, 3) == len(traj.times)
+        for stack in (traj.u, traj.v):
+            assert stack.dtype == complex and stack.flags.c_contiguous
+        kick, want_u, want_v = wick_kick(dyn), [u], [v]
+        for h, steps in [(0.01, 3)] * 3 + [(0.01, 1), (0.105 - 10 * 0.01, 1)]:
+            u, v = engine.run_steps(u, v, 3, 1.0, h, steps, kick)
+            want_u.append(u)
+            want_v.append(v)
+        np.testing.assert_array_equal(traj.u, np.stack(want_u))
+        np.testing.assert_array_equal(traj.v, np.stack(want_v))
+        np.testing.assert_allclose(traj.times,
+                                   [0, 0.03, 0.06, 0.09, 0.1, 0.105])
+
+    @pytest.mark.parametrize("t_final, dt, every", [
+        (0.1, 0.01, 1), (0.1, 0.01, 3), (0.105, 0.01, 3), (0.005, 0.01, 4),
+        (0.12, 0.01, 12), (0.12, 0.01, 50)])
+    def test_record_count_matches_evolve(self, t_final, dt, every):
+        ctx = WickContext.create(1, 1.0, 1)
+        traj = evolve(*zero_state(1), t_final, DynParams(ctx, dt),
+                      record_every=every)
+        assert record_count(t_final, dt, every) == len(traj.times)
 
 
 class TestHamiltonian:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,8 @@ from wicknlw.experiments import (
     scaled_force_fn,
     scaled_forcing_grid,
 )
-from wicknlw.fields import alias_free_grid, project
+from wicknlw.dynamics import record_count
+from wicknlw.fields import alias_free_grid, project, sobolev_norm
 from wicknlw.free_field import sample_free_field, sample_pair_half
 from wicknlw.gibbs import ChainOptions
 from wicknlw.wick import hermite_values
@@ -332,6 +334,28 @@ class TestBoundedMemory:
         assert growth_mb <= 100.0, f"peak RSS grew by {growth_mb:.0f} MB"
 
 
+    def test_universality_peak_holds_three_reference_stacks(self):
+        # the benchmark ladder at a coarser dt.  What the ladder must hold at
+        # once is the reference's u stack plus the (u, v) stacks of the run
+        # in progress, all at n_ref; the slack covers the force grids and
+        # the step scratch at n_ref.  Holding v, the n_ref // 2 run or the
+        # previous rung, and full-stack differences, peaked at 46 MB.
+        eps, t_final, dt = [1 / 8, 1 / 16, 1 / 32, 1 / 64], 0.5, 2e-3
+        n_ref = 64
+        records = record_count(t_final, dt, max(1, round(t_final / dt / 40)))
+        stack_mb = records * (2 * n_ref + 1) * (n_ref + 1) * 16 / 1e6
+        tracemalloc.start()
+        try:
+            rep = universality_experiment(NONLINEARITIES["sin"], eps, 1.0,
+                                          -0.1, t_final, dt, seed=7)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert rep.n_ref == n_ref and not any(r["failed"] for r in rep.rows)
+        assert peak_mb <= 3 * stack_mb + 12.0, (
+            f"peak {peak_mb:.1f} MB, stacks of {stack_mb:.1f} MB")
+
+
 class TestUniversality:
     def test_half_difference_pads_the_smaller_cutoff(self):
         # reference: zero-pad the full coefficient squares, then subtract
@@ -345,6 +369,20 @@ class TestUniversality:
         a, b = half_from_full(big.coeffs), half_from_full(small.coeffs)
         np.testing.assert_array_equal(experiments._half_difference(a, b), want)
         np.testing.assert_array_equal(experiments._half_difference(b, a), -want)
+
+    def test_sup_distance_equals_the_batched_formula(self):
+        rng = np.random.default_rng(3)
+
+        def stack(n_max):
+            shape = (5, 2 * n_max + 1, n_max + 1)
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        a, b = stack(6), stack(3)
+        for x, y in ((a, b), (b, a), (a, stack(6))):
+            want = sobolev_norm(experiments._half_difference(x, y), -0.1).max()
+            assert experiments._sup_distance(x, y, -0.1) == want
+        with pytest.raises(ValueError, match="recording times"):
+            experiments._sup_distance(a, b[:4], -0.1)
 
     def test_ladder_runs_and_reports(self):
         rep = universality_experiment(NONLINEARITIES["sin"], [1 / 2, 1 / 4],
