@@ -29,6 +29,7 @@ from .dynamics import (
     Trajectory,
     default_dt,
     evolve,
+    records,
 )
 from .gibbs import (
     ChainOptions,

@@ -10,6 +10,11 @@ term on the left of the equation with a plus sign).  Both sub-flows are
 exactly solvable: the linear part rotates each mode, the kick changes only
 v.  Their Strang composition is symplectic, time-reversible and second
 order, which is what makes the Gibbs-invariance experiments meaningful.
+
+:func:`records` is the one stepping loop: it yields a run's records one at
+a time, on one workspace for the whole run (see :mod:`wicknlw.engine`).
+:func:`evolve` stacks them into a :class:`Trajectory`; the universality
+ladder consumes them as they come and keeps no stack but its reference's.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "Trajectory",
     "IntegrationError",
     "evolve",
+    "records",
     "default_dt",
     "record_count",
     "step_schedule",
@@ -107,34 +113,45 @@ def record_count(t_final: float, dt: float, record_every: int) -> int:
 
 
 def wick_kick(p: DynParams):
-    """The Wick term u -> lam * P_N[:u^{2m+1}:] of dv/dt, in half layout."""
+    """The Wick term u -> lam * P_N[:u^{2m+1}:] of dv/dt, in half layout,
+    as a force hook ``force(u, work=None)`` (see :func:`engine.run_steps`)."""
     lam = p.lam
 
-    def force(u: np.ndarray) -> np.ndarray:
-        return lam * engine.wick_force(u, p.ctx)
+    def force(u: np.ndarray, work: dict | None = None) -> np.ndarray:
+        out = engine.wick_force(u, p.ctx, work)
+        out *= lam
+        return out
 
     return force
 
 
-def evolve(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
-           record_every: int = 1, force=None) -> Trajectory:
+def records(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
+            record_every: int = 1, force=None):
     """Integrate the half-layout state (u, v) at the context cutoff to
-    t_final, recording every ``record_every`` Strang steps plus the
-    endpoints.  A final partial step with reduced dt lands within one dt of
-    t_final.  Kicks interior to an unrecorded span are merged (exact in
-    exact arithmetic).
+    t_final and yield ``(t, u, v)`` at t = 0, every ``record_every`` Strang
+    steps and at t_final.  A final partial step with reduced dt lands
+    within one dt of t_final.  Kicks interior to an unrecorded span are
+    merged (exact in exact arithmetic).
 
-    ``force`` may replace the default Wick kick by any map u -> dv/dt
-    contribution in half layout (used by the scaling experiments).
+    ``force`` may replace the default Wick kick by any force hook
+    ``force(u, work=None)`` in half layout (used by the scaling
+    experiments).  The arguments are checked on the call; the steps run,
+    on one workspace, as the records are consumed, and a non-finite state
+    raises :class:`IntegrationError` instead of being yielded.
     """
     if t_final <= 0:
         raise ValueError("final time must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    n_max, rho = p.ctx.n_max, p.ctx.rho
+    n_max = p.ctx.n_max
     if np.shape(u)[-2:] != (2 * n_max + 1, n_max + 1) or np.shape(v) != np.shape(u):
         raise ValueError("state must be in the half layout of the context cutoff")
-    kick = force if force is not None else wick_kick(p)
+    return _records(u, v, t_final, p, record_every,
+                    force if force is not None else wick_kick(p))
+
+
+def _records(u, v, t_final, p, record_every, kick):
+    n_max, rho = p.ctx.n_max, p.ctx.rho
     n_steps, remainder = step_schedule(t_final, p.dt)
     # (step size, steps, time reached) of each recorded segment
     segments = [(p.dt, min(record_every, n_steps - lo),
@@ -142,13 +159,27 @@ def evolve(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
                 for lo in range(0, n_steps, record_every)]
     if remainder > 0.0:
         segments.append((remainder, 1, t_final))
-    # one record per segment plus the initial state, written in place
-    us = np.empty((len(segments) + 1,) + np.shape(u), dtype=complex)
-    vs = np.empty_like(us)
-    us[0], vs[0] = u, v
-    for i, (h, steps, t) in enumerate(segments, 1):
-        us[i], vs[i] = engine.run_steps(us[i - 1], vs[i - 1], n_max, rho, h,
-                                        steps, kick)
-        if not (np.isfinite(us[i]).all() and np.isfinite(vs[i]).all()):
+    work: dict = {}
+    yield 0.0, u, v
+    for h, steps, t in segments:
+        u, v = engine.run_steps(u, v, n_max, rho, h, steps, kick, work)
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise IntegrationError(t)
-    return Trajectory(np.array([0.0] + [t for *_, t in segments]), us, vs)
+        yield t, u, v
+
+
+def evolve(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
+           record_every: int = 1, force=None) -> Trajectory:
+    """The :func:`records` of a run, stacked into a :class:`Trajectory`.
+
+    The stacks are allocated once, ``record_count`` records long, and
+    each record is written into them as it is made.
+    """
+    recs = records(u, v, t_final, p, record_every, force)
+    n = record_count(t_final, p.dt, record_every)
+    times = np.empty(n)
+    us = np.empty((n,) + np.shape(u), dtype=complex)
+    vs = np.empty_like(us)
+    for i, (t, u_i, v_i) in enumerate(recs):
+        times[i], us[i], vs[i] = t, u_i, v_i
+    return Trajectory(times, us, vs)

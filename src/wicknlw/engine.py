@@ -11,16 +11,22 @@ Nonlinear terms are evaluated pointwise on the context grid
 :mod:`wicknlw.fields`.  It is the smallest grid on which the retained modes
 of the degree-(2m+1) force are exact, and the grid mean of the
 degree-(2m+2) potential is exact on it as well.
+
+The force, the potential and the Strang segments take an optional
+workspace ``work``, a caller-owned dict of scratch buffers
+(``fields._scratch``).  A run that keeps one workspace allocates nothing
+per step, so its page faults follow the work, not glibc's heap trimming.
 """
 
 from __future__ import annotations
 
+import inspect
 from functools import lru_cache
 
 import numpy as np
 
-from .fields import (ball_mask, grid_from_half, half_from_grid, half_weights,
-                     mode_norms_sq)
+from .fields import (_scratch, ball_mask, grid_from_half, half_from_grid,
+                     half_weights, mode_norms_sq)
 from .free_field import _block_size
 from .wick import WickContext, hermite_values
 
@@ -59,42 +65,77 @@ def rotate(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     return c * u + (s / lam) * v, -lam * s * u + c * v
 
 
-def wick_force(u: np.ndarray, ctx: WickContext) -> np.ndarray:
-    """P_N[H_{2m+1}(u; sigma)] in half layout (the defocusing term's magnitude)."""
-    g = grid_from_half(u, ctx.m_grid)
-    return half_from_grid(hermite_values(2 * ctx.m + 1, g, ctx.sigma), ctx.n_max)
+def wick_force(u: np.ndarray, ctx: WickContext,
+               work: dict | None = None) -> np.ndarray:
+    """P_N[H_{2m+1}(u; sigma)] in half layout (the defocusing term's magnitude).
+
+    With a workspace ``work`` every grid and the result are its buffers
+    (see :func:`wicknlw.fields.grid_from_half`), so a call allocates
+    nothing and the next call overwrites the result; without one the
+    result is a fresh array.
+    """
+    g = grid_from_half(u, ctx.m_grid, work)
+    h = hermite_values(2 * ctx.m + 1, g, ctx.sigma,
+                       out=_scratch(work, "hermite", g.shape), work=work)
+    return half_from_grid(h, ctx.n_max, work)
 
 
 def step_rows(ctx: WickContext) -> int:
-    """Rows per ``run_steps`` call: the ``_block_size`` rule applied to the
-    values one Wick force holds per row (the M x M grid and its Hermite
-    image, two (M, N+1) complex products, three half-layout arrays); 61 at
-    N = 8.  In much larger blocks glibc hands the freed temporaries back to
-    the OS after every step, and the next step faults them in again.
+    """Rows per block of ``run_steps_blocked`` and ``wick_potential_values``:
+    the ``_block_size`` rule applied to the values one Wick force holds per
+    row (the M x M grid and its Hermite image, two (M, N+1) complex
+    products, three half-layout arrays); 61 at N = 8.  Those are the
+    block's workspace buffers, so the rule bounds the workspace.
     """
     n, m = ctx.n_max, ctx.m_grid
     return _block_size(2 * m * m + 4 * m * (n + 1) + 6 * (2 * n + 1) * (n + 1))
 
 
+def _force_hook(force):
+    """``force`` as a hook ``force(u, work)``.  A one-argument map
+    u -> dv/dt is accepted too and is called without the workspace."""
+    try:
+        inspect.signature(force).bind(None, None)
+    except TypeError:
+        return lambda u, work: force(u)
+    return force
+
+
 def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
-              dt: float, n_steps: int, force) -> tuple[np.ndarray, np.ndarray]:
+              dt: float, n_steps: int, force,
+              work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One Strang segment of n_steps: half kick, rotations with interior
     full kicks (the two adjacent half kicks merged), final half kick.
 
-    ``force(u) -> array`` is the full nonlinear contribution to dv/dt.
-    Inputs are not modified.
+    ``force(u, work) -> array`` is the full nonlinear contribution to
+    dv/dt; it may return a buffer of the workspace ``work``, which is read
+    before the next call.  A one-argument ``force(u)`` is accepted as well.
+    ``work`` is the caller's dict of scratch buffers, kept across calls so
+    that the force grids, the step buffers and the rotation are made once
+    per run; without one, this call makes its own.  No step allocates.
+    Inputs are not modified and the results are fresh arrays.
     """
     if n_steps < 1:
         return u, v
-    _, lam, _, _ = half_geometry(n_max, rho)
-    c, s = np.cos(dt * lam), np.sin(dt * lam)
-    s_over, s_lam = s / lam, s * lam
+    force = _force_hook(force)
+    if work is None:
+        work = {}
+    # the rotation by dt, remade only when the step size changes
+    key = (n_max, rho, dt)
+    if work.get("rotation_key") != key:
+        _, lam, _, _ = half_geometry(n_max, rho)
+        c, s = np.cos(dt * lam), np.sin(dt * lam)
+        work["rotation_key"], work["rotation"] = key, (c, s / lam, s * lam)
+    c, s_over, s_lam = work["rotation"]
 
-    kick = np.multiply(force(u), 0.5 * dt)
-    v = v + kick
-    u = u.copy()
-    new_u = np.empty_like(u)
-    tmp = np.empty_like(u)
+    kick = np.multiply(force(u, work), 0.5 * dt)
+    kick += v
+    v = kick
+    # the steps alternate u between its copy and a workspace buffer; the
+    # copy is the result
+    u = out_u = u.copy()
+    new_u = _scratch(work, "step_u", u.shape, u.dtype)
+    tmp = _scratch(work, "step_tmp", u.shape, u.dtype)
     for k in range(n_steps):
         np.multiply(c, u, out=new_u)
         np.multiply(s_over, v, out=tmp)
@@ -104,24 +145,31 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
         v -= tmp
         u, new_u = new_u, u
         if k < n_steps - 1:
-            np.multiply(force(u), dt, out=tmp)
+            np.multiply(force(u, work), dt, out=tmp)
             v += tmp
-    np.multiply(force(u), 0.5 * dt, out=tmp)
+    np.multiply(force(u, work), 0.5 * dt, out=tmp)
     v += tmp
-    return u, v
+    if u is not out_u:
+        np.copyto(out_u, u)
+    return out_u, v
 
 
 def run_steps_blocked(u: np.ndarray, v: np.ndarray, ctx: WickContext,
-                      dt: float, n_steps: int, force) -> tuple[np.ndarray, np.ndarray]:
+                      dt: float, n_steps: int, force,
+                      work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``run_steps`` on (rows, K, N+1) arrays in blocks of ``step_rows(ctx)``
-    rows.  Rows are independent, so the result equals one call on all rows.
+    rows, every block on one workspace (the caller's ``work``, else one
+    made for this call).  Rows are independent, so the result equals one
+    call on all rows.
     """
+    if work is None:
+        work = {}
     u_out, v_out = np.empty_like(u), np.empty_like(v)
     block = step_rows(ctx)
     for lo in range(0, len(u), block):
         rows = slice(lo, lo + block)
         u_out[rows], v_out[rows] = run_steps(u[rows], v[rows], ctx.n_max,
-                                             ctx.rho, dt, n_steps, force)
+                                             ctx.rho, dt, n_steps, force, work)
     return u_out, v_out
 
 
@@ -138,15 +186,24 @@ def quadratic_energy_values(u: np.ndarray, v: np.ndarray, n_max: int,
                         axis=(-2, -1))
 
 
-def wick_potential_values(u: np.ndarray, ctx: WickContext) -> np.ndarray:
-    """Average of H_{2m+2}(u; sigma) over the grid, divided by 2m + 2,
-    in blocks of ``_block_size(M^2)`` samples."""
+def wick_potential_values(u: np.ndarray, ctx: WickContext,
+                          work: dict | None = None) -> np.ndarray:
+    """Average of H_{2m+2}(u; sigma) over the grid, divided by 2m + 2.
+
+    Runs in blocks of ``step_rows(ctx)`` samples whose grids are buffers
+    of one workspace: the caller's ``work``, else one made for this call.
+    """
+    if work is None:
+        work = {}
     deg, m_grid = 2 * ctx.m + 2, ctx.m_grid
-    rows, step = u.reshape((-1,) + u.shape[-2:]), _block_size(m_grid * m_grid)
-    means = [np.mean(hermite_values(deg, grid_from_half(rows[lo : lo + step], m_grid),
-                                    ctx.sigma), axis=(-2, -1))
-             for lo in range(0, max(len(rows), 1), step)]
-    return np.concatenate(means).reshape(u.shape[:-2]) / deg
+    rows, step = u.reshape((-1,) + u.shape[-2:]), step_rows(ctx)
+    means = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        g = grid_from_half(rows[lo : lo + step], m_grid, work)
+        h = hermite_values(deg, g, ctx.sigma,
+                           out=_scratch(work, "hermite", g.shape), work=work)
+        np.mean(h, axis=(-2, -1), out=means[lo : lo + step])
+    return means.reshape(u.shape[:-2]) / deg
 
 
 def wick_mass_values(u: np.ndarray, ctx: WickContext) -> np.ndarray:

@@ -16,9 +16,10 @@ import numpy as np
 
 from . import engine
 from .dynamics import (DynParams, IntegrationError, Trajectory, evolve,
-                       step_schedule, wick_kick)
+                       record_count, records, step_schedule, wick_kick)
 from .fields import (
     _lattice,
+    _scratch,
     alias_free_grid,
     full_from_half,
     grid_from_half,
@@ -446,11 +447,30 @@ def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int):
     lin = (eps * eps * rho - rho_e) / (eps * eps)
     inv3 = eps ** -3
 
-    def force(u: np.ndarray) -> np.ndarray:
-        g = grid_from_half(u, m_grid)
-        return half_from_grid(inv3 * f.fn(eps * g) + lin * g, n_cut)
+    def force(u: np.ndarray, work: dict | None = None) -> np.ndarray:
+        # inv3 * f(eps g) + lin * g in place, in that operation order; a
+        # ufunc f (np.sin) writes over eps g, other maps return a new array
+        g = grid_from_half(u, m_grid, work)
+        x = np.multiply(g, eps, out=_scratch(work, "scaled", g.shape))
+        vals = f.fn(x, out=x) if isinstance(f.fn, np.ufunc) else f.fn(x)
+        vals *= inv3
+        g *= lin
+        vals += g
+        return half_from_grid(vals, n_cut, work)
 
     return force
+
+
+def _scaled_rung(master: tuple[np.ndarray, np.ndarray], eps: float,
+                 f: Nonlinearity, rho: float, dt: float):
+    """(u, v, dyn, force) of the rescaled equation at cutoff floor(1/eps),
+    the data projected from the free sample ``master``."""
+    n_cut = int(math.floor(1.0 / eps))
+    if master[0].shape[-2] < 2 * n_cut + 1:
+        raise ValueError("master cutoff must dominate the working cutoff")
+    u, v = (project(a, n_cut) for a in master)
+    dyn = DynParams(WickContext.create(n_cut, rho, 1), dt, lam=f.limit_coupling)
+    return u, v, dyn, scaled_force_fn(f, eps, rho, n_cut)
 
 
 def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
@@ -462,16 +482,10 @@ def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
     drawn at cutoff ``n_master`` (default: the working cutoff), so runs at
     different eps under one seed share nested data.
     """
-    n_cut = int(math.floor(1.0 / eps))
     if n_master is None:
-        n_master = n_cut
-    if n_master < n_cut:
-        raise ValueError("master cutoff must dominate the working cutoff")
+        n_master = int(math.floor(1.0 / eps))
     master = sample_free_field(MuParams(n_master, rho, seed))
-    u, v = (project(a, n_cut) for a in master)
-    ctx = WickContext.create(n_cut, rho, 1)
-    dyn = DynParams(ctx, dt, lam=f.limit_coupling)
-    force = scaled_force_fn(f, eps, rho, n_cut)
+    u, v, dyn, force = _scaled_rung(master, eps, f, rho, dt)
     return evolve(u, v, t_final, dyn, record_every=record_every, force=force)
 
 
@@ -495,12 +509,24 @@ class UniversalityReport:
         return [r["sup_distance"] for r in self.rows if not r["failed"]]
 
 
-def _sup_distance(u_a: np.ndarray, u_b: np.ndarray, s: float) -> float:
-    """sup over the u records of ||u_a - u_b||_{H^s} at the larger cutoff."""
-    if len(u_a) != len(u_b):
+def _sup_distance(us, ref: np.ndarray, s: float) -> float:
+    """sup over the records of ||u - ref||_{H^s} at the larger cutoff.
+
+    ``us`` yields the u records one at a time (a run's records, or the
+    rows of a stack) and is consumed as it goes; ``ref`` is a stack with
+    the same recording times.
+    """
+    sup, n = None, 0
+    for n, u in enumerate(us, 1):
+        if n > len(ref):
+            break
+        d = sobolev_norm(_half_difference(u, ref[n - 1]), s)
+        # the comparison of Python's max(), NaN included
+        if sup is None or d > sup:
+            sup = d
+    if n != len(ref):
         raise ValueError("record stacks must share recording times")
-    return float(max(sobolev_norm(_half_difference(a, b), s)
-                     for a, b in zip(u_a, u_b)))
+    return float(sup)
 
 
 def universality_experiment(f: Nonlinearity, eps_list: list[float],
@@ -530,14 +556,19 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
 
     master = sample_free_field(MuParams(n_ref, rho, seed))
 
-    def reference_run(n_cut: int) -> np.ndarray:
+    def reference_us(n_cut: int):
         u, v = (project(a, n_cut) for a in master)
-        ctx = WickContext.create(n_cut, rho, 1)
-        dyn = DynParams(ctx, dt, lam=f.limit_coupling)
-        return evolve(u, v, t_final, dyn, record_every=record_every).u
+        dyn = DynParams(WickContext.create(n_cut, rho, 1), dt,
+                        lam=f.limit_coupling)
+        return (u for _, u, _ in records(u, v, t_final, dyn, record_every))
 
-    ref = reference_run(n_ref)
-    ref_refine = _sup_distance(ref, reference_run(max(n_ref // 2, 1)), s)
+    # the one stack the ladder keeps; every other run is compared with it
+    # record by record as it is integrated
+    ref = np.empty((record_count(t_final, dt, record_every),)
+                   + master[0].shape, dtype=complex)
+    for i, u in enumerate(reference_us(n_ref)):
+        ref[i] = u
+    ref_refine = _sup_distance(reference_us(max(n_ref // 2, 1)), ref, s)
 
     rows = []
     for eps in eps_arr:
@@ -545,11 +576,11 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
         row = {"eps": eps, "n_cut": n_cut,
                "rho_eps": counterterm_mass(f, eps, rho),
                "sup_distance": float("nan"), "failed": False}
+        u, v, dyn, force = _scaled_rung(master, eps, f, rho, dt)
         try:
             row["sup_distance"] = _sup_distance(
-                evolve_scaled(eps, f, rho, t_final, dt, seed,
-                              record_every=record_every, n_master=n_ref).u,
-                ref, s)
+                (u for _, u, _ in records(u, v, t_final, dyn, record_every,
+                                          force)), ref, s)
         except IntegrationError:
             row["failed"] = True
         rows.append(row)

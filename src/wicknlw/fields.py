@@ -130,22 +130,51 @@ def _dft_factors(n_max: int, m_grid: int):
     return e1, syn2, ana2
 
 
-def grid_from_half(half: np.ndarray, m_grid: int) -> np.ndarray:
-    """Evaluate sum_n c_n e^{i n.x} on the M x M grid (result is real)."""
+def _scratch(work: dict | None, name: str, shape: tuple,
+             dtype=float) -> np.ndarray | None:
+    """Buffer ``name`` of the caller-owned workspace ``work``, made on first
+    use and remade when the shape changes; None without a workspace, so an
+    ``out=`` argument falls back to a fresh array.
+
+    A kernel given a workspace returns one of its buffers, which the next
+    call with the same workspace overwrites.
+    """
+    if work is None:
+        return None
+    buf = work.get(name)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = work[name] = np.empty(shape, dtype)
+    return buf
+
+
+def grid_from_half(half: np.ndarray, m_grid: int,
+                   work: dict | None = None) -> np.ndarray:
+    """Evaluate sum_n c_n e^{i n.x} on the M x M grid (result is real).
+
+    With a workspace ``work`` the (..., M, N+1) product and the grid are
+    its buffers ``syn1`` and ``grid``; without one they are fresh arrays.
+    """
     n_max = (half.shape[-2] - 1) // 2
     if m_grid <= 2 * n_max:
         raise ValueError(
             f"grid size {m_grid} aliases a cutoff-{n_max} field; need M > {2 * n_max}"
         )
     e1, syn2, _ = _dft_factors(n_max, m_grid)
-    return np.matmul(np.matmul(e1, half).view(float), syn2)
+    lead = half.shape[:-2]
+    syn1 = np.matmul(e1, half,
+                     out=_scratch(work, "syn1", lead + (m_grid, n_max + 1), complex))
+    return np.matmul(syn1.view(float), syn2,
+                     out=_scratch(work, "grid", lead + (m_grid, m_grid)))
 
 
-def half_from_grid(values: np.ndarray, n_max: int) -> np.ndarray:
+def half_from_grid(values: np.ndarray, n_max: int,
+                   work: dict | None = None) -> np.ndarray:
     """Discrete Fourier analysis of a real grid, kept on |n| <= n_max.
 
     Uses the normalized inner product (plain average over nodes), so it is
-    the exact inverse of :func:`grid_from_half` for alias-free grids.
+    the exact inverse of :func:`grid_from_half` for alias-free grids.  With
+    a workspace ``work`` the (..., M, 2N+2) product, the flipped spectrum
+    and the result are its buffers ``ana2``, ``ana1`` and ``half``.
     """
     m_grid = values.shape[-1]
     if m_grid <= 2 * n_max:
@@ -153,9 +182,18 @@ def half_from_grid(values: np.ndarray, n_max: int) -> np.ndarray:
             f"grid size {m_grid} cannot resolve cutoff {n_max}; need M > {2 * n_max}"
         )
     e1, _, ana2 = _dft_factors(n_max, m_grid)
-    # e1^T sums e^{+i n1 x}, so its row n1 holds the coefficient of -n1
-    flipped = np.matmul(e1.T, np.matmul(values, ana2).view(complex))
-    return flipped[..., ::-1, :] * ball_mask(n_max)[:, n_max:]
+    lead, k = values.shape[:-2], 2 * n_max + 1
+    # e1^T sums e^{+i n1 x}, so its row n1 holds the coefficient of -n1; the
+    # (..., M, 2N+2) product is a temporary unless it is a workspace buffer,
+    # so without one it is freed before the masked copy is made
+    flipped = np.matmul(
+        e1.T,
+        np.matmul(values, ana2,
+                  out=_scratch(work, "ana2", lead + (m_grid, 2 * n_max + 2))
+                  ).view(complex),
+        out=_scratch(work, "ana1", lead + (k, n_max + 1), complex))
+    return np.multiply(flipped[..., ::-1, :], ball_mask(n_max)[:, n_max:],
+                       out=_scratch(work, "half", lead + (k, n_max + 1), complex))
 
 
 # bench/tracer.py wraps the names of the object-field transforms that these

@@ -183,13 +183,15 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     lengths = base_steps + sched.integers(-_JITTER, _JITTER + 1, size=moves)
     lengths = np.maximum(lengths, 1)
     force = wick_kick(DynParams(ctx, dt))
+    # the trajectories and potentials of every move share one workspace
+    work: dict = {}
 
     def propose(mv, cur, pot_cur, rngs):
         v = _free_halves(rngs, params, first=2)[0]
         h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
         u_new, v_new = engine.run_steps_blocked(cur, v, ctx, dt,
-                                                int(lengths[mv]), force)
-        pot_new = engine.wick_potential_values(u_new, ctx)
+                                                int(lengths[mv]), force, work)
+        pot_new = engine.wick_potential_values(u_new, ctx, work)
         h1 = engine.quadratic_energy_values(u_new, v_new, n_max, rho) + pot_new
         return u_new, pot_new, h0 - h1
 

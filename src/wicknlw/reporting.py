@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import platform
 from pathlib import Path
 
@@ -31,6 +32,10 @@ __all__ = [
 
 
 def provenance() -> dict:
+    """Versions, platform, CPU count and BLAS threading variables (None
+    when unset): the universality ladder's N = 64 products cross
+    OpenBLAS's threading threshold, so its bits depend on the thread count.
+    """
     return {
         "package": "wicknlw",
         "version": __version__,
@@ -38,6 +43,9 @@ def provenance() -> dict:
         "scipy": scipy.__version__,
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
 
 

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .fields import alias_free_grid, grid_from_half, half_from_grid
+from .fields import _scratch, alias_free_grid, grid_from_half, half_from_grid
 from .free_field import point_variance
 
 __all__ = [
@@ -72,15 +72,19 @@ class WickContext:
         return cls(n_max, float(rho), m, point_variance(n_max, rho))
 
 
-def hermite_values(k: int, x: np.ndarray, sigma: float) -> np.ndarray:
-    """H_k(x; sigma) elementwise.
+def hermite_values(k: int, x: np.ndarray, sigma: float,
+                   out: np.ndarray | None = None,
+                   work: dict | None = None) -> np.ndarray:
+    """H_k(x; sigma) elementwise, written into ``out`` when it is given.
 
     Degrees 2, 3 and 4 (the Wick mass, force and potential of the cubic
-    equation) use their closed forms in the fewest full-array passes.
-    Other degrees use the stable three-term recurrence H_0 = 1, H_1 = x,
-    H_{j+1} = x * H_j - j * sigma * H_{j-1}, which follows from
-    differentiating the generating function exp(t x - sigma t^2 / 2) and
-    is accurate in the operating range k <= 12, |x| <= 10 sqrt(sigma).
+    equation) use their closed forms in the fewest full-array passes; the
+    quartic's square of x is the buffer ``hermite_sq`` of the workspace
+    ``work`` when one is given.  Other degrees use the stable three-term
+    recurrence H_0 = 1, H_1 = x, H_{j+1} = x * H_j - j * sigma * H_{j-1},
+    which follows from differentiating the generating function
+    exp(t x - sigma t^2 / 2) and is accurate in the operating range
+    k <= 12, |x| <= 10 sqrt(sigma).
     """
     if k < 0:
         raise ValueError("Hermite degree must be nonnegative")
@@ -88,21 +92,27 @@ def hermite_values(k: int, x: np.ndarray, sigma: float) -> np.ndarray:
         raise ValueError("variance parameter must be positive")
     x = np.asarray(x, dtype=float)
     if k == 0:
-        return np.ones_like(x)
+        if out is None:
+            return np.ones_like(x)
+        out.fill(1.0)
+        return out
     if k == 1:
-        return x.copy()
+        if out is None:
+            return x.copy()
+        np.copyto(out, x)
+        return out
     if k == 2:
-        out = x * x
+        out = np.multiply(x, x, out=out)
         out -= sigma
         return out
     if k == 3:
-        out = x * x
+        out = np.multiply(x, x, out=out)
         out -= 3.0 * sigma
         out *= x
         return out
     if k == 4:
-        x2 = x * x
-        out = x2 * x2
+        x2 = np.multiply(x, x, out=_scratch(work, "hermite_sq", x.shape))
+        out = np.multiply(x2, x2, out=out)
         x2 *= -6.0 * sigma
         out += x2
         out += 3.0 * sigma * sigma
@@ -110,7 +120,8 @@ def hermite_values(k: int, x: np.ndarray, sigma: float) -> np.ndarray:
     h_prev = np.ones_like(x)
     h = x.copy()
     for j in range(1, k):
-        h, h_prev = x * h - j * sigma * h_prev, h
+        h, h_prev = np.subtract(x * h, j * sigma * h_prev,
+                                out=out if j == k - 1 else None), h
     return h
 
 

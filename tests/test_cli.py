@@ -15,6 +15,7 @@ from wicknlw import MuParams, SpectralField, WickContext, sample_free_field
 from wicknlw import cli as cli_module
 from wicknlw.experiments import observable_matrix
 from wicknlw.fields import full_from_half, half_from_full, mode_norms_sq
+from wicknlw.reporting import provenance
 from wicknlw.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -343,6 +344,16 @@ class TestDispatch:
         assert report["config"]["seed"] == 42
         assert report["config"]["n"] == 2
         assert "provenance" in report
+
+    def test_provenance_names_the_blas_threading(self, monkeypatch):
+        # the ladder's bits depend on the BLAS thread count, so the report
+        # records the CPU count and both threading variables
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        prov = provenance()
+        assert prov["cpu_count"] == os.cpu_count()
+        assert prov["OPENBLAS_NUM_THREADS"] == "1"
+        assert prov["OMP_NUM_THREADS"] is None
 
 
 def test_runs_leave_heavy_scipy_subpackages_unimported(tmp_path):

@@ -13,7 +13,8 @@ from wicknlw import (
     evolve,
     hermite,
 )
-from wicknlw.dynamics import Trajectory, default_dt, record_count, wick_kick
+from wicknlw.dynamics import (Trajectory, default_dt, record_count, records,
+                              wick_kick)
 from wicknlw.fields import ball_mask, full_from_half, half_from_full
 from wicknlw.free_field import sample_pair_half
 
@@ -195,6 +196,22 @@ class TestStepAndEvolve:
         np.testing.assert_array_equal(traj.v, np.stack(want_v))
         np.testing.assert_allclose(traj.times,
                                    [0, 0.03, 0.06, 0.09, 0.1, 0.105])
+
+    def test_records_equal_the_evolve_stacks(self):
+        ctx = WickContext.create(3, 1.0, 1)
+        dyn = DynParams(ctx, 0.01)
+        u, v = random_state(3, 5, scale=0.5)
+        traj = evolve(u, v, 0.105, dyn, record_every=3)
+        recs = [(t, a.copy(), b.copy())
+                for t, a, b in records(u, v, 0.105, dyn, record_every=3)]
+        assert [t for t, _, _ in recs] == traj.times.tolist()
+        np.testing.assert_array_equal(np.stack([a for _, a, _ in recs]), traj.u)
+        np.testing.assert_array_equal(np.stack([b for _, _, b in recs]), traj.v)
+        # the arguments are checked on the call, before any record is asked for
+        with pytest.raises(ValueError, match="half layout"):
+            records(u, v[:-1], 0.105, dyn)
+        with pytest.raises(ValueError, match="positive"):
+            records(u, v, 0.0, dyn)
 
     @pytest.mark.parametrize("t_final, dt, every", [
         (0.1, 0.01, 1), (0.1, 0.01, 3), (0.105, 0.01, 3), (0.005, 0.01, 4),

@@ -6,13 +6,18 @@ of the factored per-axis products in ``wicknlw.fields``, so it checks the
 one transform pair that every kernel runs through.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 
 from conftest import random_field
-from wicknlw import WickContext, engine
+from wicknlw import NONLINEARITIES, DynParams, MuParams, WickContext, engine
+from wicknlw.dynamics import wick_kick
+from wicknlw.experiments import scaled_force_fn
 from wicknlw.fields import ball_mask, grid_from_half, half_from_full, half_from_grid
+from wicknlw.free_field import sample_pair_half
 
 N, RHO = 3, 1.0
 RTOL = 1e-10
@@ -129,7 +134,7 @@ def test_run_steps_rows_are_independent_of_the_block(monkeypatch):
     rng = np.random.default_rng(12)
     u = half_from_full(np.stack([random_field(8, s, 0.3).coeffs for s in range(64)]))
     v = u * rng.standard_normal(u.shape)
-    kick = lambda x: -engine.wick_force(x, ctx)
+    kick = lambda x, work=None: -engine.wick_force(x, ctx, work)
     whole = engine.run_steps(u, v, 8, RHO, 1e-3, 7, kick)
     halves = [engine.run_steps(u[s], v[s], 8, RHO, 1e-3, 7, kick)
               for s in (slice(0, 32), slice(32, 64))]
@@ -146,3 +151,96 @@ def test_run_steps_rows_are_independent_of_the_block(monkeypatch):
 def test_step_rows_follows_the_block_rule():
     # 2 M^2 + 4 M (N+1) + 6 K (N+1) = 4284 values per row at N = 8, M = 33
     assert engine.step_rows(WickContext.create(8, RHO, 1)) == (1 << 18) // 4284 == 61
+
+
+def _state_rows(rows, n_max=8, seed=12):
+    u, v = sample_pair_half(MuParams(n_max, RHO, seed=seed), rows)
+    return u, v
+
+
+def test_one_argument_force_is_still_accepted():
+    # a force(u) hook without a workspace steps exactly like force(u, work)
+    ctx = WickContext.create(N, RHO, 1)
+    u, v = _state_rows(5, N)
+    one = engine.run_steps(u, v, N, RHO, 1e-3, 6, lambda x: -engine.wick_force(x, ctx))
+    two = engine.run_steps(u, v, N, RHO, 1e-3, 6, wick_kick(DynParams(ctx, 1e-3)))
+    for j in range(2):
+        np.testing.assert_array_equal(one[j], two[j])
+
+
+def test_workspace_force_returns_its_buffer_with_fresh_bits():
+    ctx = WickContext.create(8, RHO, 1)
+    u, _ = _state_rows(4)
+    force, work = wick_kick(DynParams(ctx, 1e-3)), {}
+    a = force(u, work)
+    b = force(2.0 * u, work)
+    assert b is a
+    np.testing.assert_array_equal(b, force(2.0 * u))
+    np.testing.assert_array_equal(force(u, work), force(u))
+
+
+def _fresh_kernels():
+    ctx = WickContext.create(8, RHO, 1)
+    u, _ = _state_rows(3)
+    g = grid_from_half(u, ctx.m_grid)
+    scaled = scaled_force_fn(NONLINEARITIES["sin"], 0.125, RHO, 8)
+    return {
+        "wick_force": (lambda x: engine.wick_force(x, ctx), u),
+        "grid_from_half": (lambda x: grid_from_half(x, ctx.m_grid), u),
+        "half_from_grid": (lambda x: half_from_grid(x, 8), g),
+        "scaled_force": (scaled, u),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fresh_kernels()))
+def test_kernels_without_workspace_return_fresh_arrays(name):
+    # no result shares memory with another call's result or with the input
+    fn, x = _fresh_kernels()[name]
+    a = fn(x)
+    a_before = a.copy()
+    b = fn(2.0 * x)
+    assert not np.shares_memory(a, b) and not np.shares_memory(a, x)
+    np.testing.assert_array_equal(a, a_before)
+
+
+def test_run_steps_peak_does_not_grow_with_the_steps():
+    # with a warm workspace a segment holds its two fresh results, and per
+    # step only numpy's ufunc buffers (8192 values per operand): 1 and 40
+    # steps peak alike at 61 rows, far below one step's force grids
+    ctx = WickContext.create(8, RHO, 1)
+    assert engine.step_rows(ctx) == 61
+    u, v = _state_rows(61)
+    kick, work = wick_kick(DynParams(ctx, 1e-3)), {}
+    engine.run_steps(u, v, 8, RHO, 1e-3, 1, kick, work)
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            engine.run_steps(u, v, 8, RHO, 1e-3, n_steps, kick, work)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, forty = peak(1), peak(40)
+    assert forty <= one + 4096, (one, forty)
+    assert forty <= 2 * u.nbytes + 2 * 8192 * 16 + 4096, (forty, u.nbytes)
+
+
+def test_shared_workspace_is_bit_equal_to_fresh_calls(monkeypatch):
+    # one workspace across segments of two step sizes and two block shapes
+    ctx = WickContext.create(8, RHO, 1)
+    u, v = _state_rows(30)
+    kick, work = wick_kick(DynParams(ctx, 1e-3)), {}
+    for dt, steps in ((1e-3, 3), (4e-4, 1), (1e-3, 4)):
+        want = engine.run_steps(u, v, 8, RHO, dt, steps, kick)
+        got = engine.run_steps(u, v, 8, RHO, dt, steps, kick, work)
+        for j in range(2):
+            np.testing.assert_array_equal(got[j], want[j])
+        u, v = got
+    monkeypatch.setattr(engine, "step_rows", lambda ctx: 8)
+    want = engine.run_steps_blocked(u, v, ctx, 1e-3, 5, kick)
+    got = engine.run_steps_blocked(u, v, ctx, 1e-3, 5, kick, work)
+    for j in range(2):
+        np.testing.assert_array_equal(got[j], want[j])
+    np.testing.assert_array_equal(engine.wick_potential_values(u, ctx, work),
+                                  engine.wick_potential_values(u, ctx))

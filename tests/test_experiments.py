@@ -18,6 +18,7 @@ from wicknlw import (
     WickContext,
     chaos_convergence_study,
     counterterm_mass,
+    evolve,
     evolve_scaled,
     hermite_moment_study,
     invariance_test,
@@ -31,7 +32,7 @@ from wicknlw.experiments import (
     scaled_force_fn,
     scaled_forcing_grid,
 )
-from wicknlw.dynamics import record_count
+from wicknlw.dynamics import record_count, records
 from wicknlw.fields import alias_free_grid, project, sobolev_norm
 from wicknlw.free_field import sample_free_field, sample_pair_half
 from wicknlw.gibbs import ChainOptions
@@ -334,6 +335,25 @@ class TestBoundedMemory:
         assert growth_mb <= 100.0, f"peak RSS grew by {growth_mb:.0f} MB"
 
 
+    def test_universality_peak_holds_one_reference_stack(self):
+        # the ladder streams every run against the reference's u stack, so
+        # that stack is all it holds across records; the slack covers the
+        # force grids and the step scratch at n_ref
+        eps, t_final, dt = [1 / 8, 1 / 16, 1 / 32, 1 / 64], 0.5, 2e-3
+        n_ref = 64
+        records = record_count(t_final, dt, max(1, round(t_final / dt / 40)))
+        stack_mb = records * (2 * n_ref + 1) * (n_ref + 1) * 16 / 1e6
+        tracemalloc.start()
+        try:
+            rep = universality_experiment(NONLINEARITIES["sin"], eps, 1.0,
+                                          -0.1, t_final, dt, seed=7)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert rep.n_ref == n_ref and not any(r["failed"] for r in rep.rows)
+        assert peak_mb <= stack_mb + 12.0, (
+            f"peak {peak_mb:.1f} MB, stack of {stack_mb:.1f} MB")
+
     def test_universality_peak_holds_three_reference_stacks(self):
         # the benchmark ladder at a coarser dt.  What the ladder must hold at
         # once is the reference's u stack plus the (u, v) stacks of the run
@@ -371,18 +391,28 @@ class TestUniversality:
         np.testing.assert_array_equal(experiments._half_difference(b, a), -want)
 
     def test_sup_distance_equals_the_batched_formula(self):
-        rng = np.random.default_rng(3)
-
-        def stack(n_max):
-            shape = (5, 2 * n_max + 1, n_max + 1)
-            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-        a, b = stack(6), stack(3)
-        for x, y in ((a, b), (b, a), (a, stack(6))):
+        # streamed records against a stored stack, as the ladder compares
+        # them, bit-equal to the batched formula over the evolve stacks
+        master = sample_free_field(MuParams(6, 1.0, 4))
+        runs = {}
+        for n_cut in (6, 3):
+            u, v = (project(a, n_cut) for a in master)
+            runs[n_cut] = (u, v, DynParams(WickContext.create(n_cut, 1.0, 1),
+                                           5e-3, lam=-1 / 6))
+        a, b = (evolve(u, v, 0.1, dyn, record_every=4).u
+                for u, v, dyn in runs.values())
+        for x, n_cut, y in ((a, 3, b), (b, 6, a)):
             want = sobolev_norm(experiments._half_difference(x, y), -0.1).max()
-            assert experiments._sup_distance(x, y, -0.1) == want
-        with pytest.raises(ValueError, match="recording times"):
-            experiments._sup_distance(a, b[:4], -0.1)
+            u, v, dyn = runs[n_cut]
+            streamed = (w for _, w, _ in records(u, v, 0.1, dyn, record_every=4))
+            assert experiments._sup_distance(streamed, x, -0.1) == want
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+        assert (experiments._sup_distance(iter(c), a, -0.1)
+                == sobolev_norm(c - a, -0.1).max())
+        for short, long in ((b[:-1], a), (b, a[:-1])):
+            with pytest.raises(ValueError, match="recording times"):
+                experiments._sup_distance(iter(short), long, -0.1)
 
     def test_ladder_runs_and_reports(self):
         rep = universality_experiment(NONLINEARITIES["sin"], [1 / 2, 1 / 4],
