@@ -112,12 +112,17 @@ def record_count(t_final: float, dt: float, record_every: int) -> int:
     return 1 + -(-n_steps // record_every) + (remainder > 0.0)
 
 
-def wick_kick(p: DynParams):
+def wick_kick(p: DynParams, work: dict | None = None):
     """The Wick term u -> lam * P_N[:u^{2m+1}:] of dv/dt, in half layout,
-    as a force hook ``force(u, work=None)`` (see :func:`engine.run_steps`)."""
+    as a force hook ``force(u)`` (see :func:`engine.run_steps`).
+
+    With a workspace ``work`` every call draws its grids from it and
+    returns the same buffer, overwritten by the next call; without one
+    every call returns a fresh array.
+    """
     lam = p.lam
 
-    def force(u: np.ndarray, work: dict | None = None) -> np.ndarray:
+    def force(u: np.ndarray) -> np.ndarray:
         out = engine.wick_force(u, p.ctx, work)
         out *= lam
         return out
@@ -134,10 +139,11 @@ def records(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
     merged (exact in exact arithmetic).
 
     ``force`` may replace the default Wick kick by any force hook
-    ``force(u, work=None)`` in half layout (used by the scaling
-    experiments).  The arguments are checked on the call; the steps run,
-    on one workspace, as the records are consumed, and a non-finite state
-    raises :class:`IntegrationError` instead of being yielded.
+    ``force(u)`` in half layout (used by the scaling experiments).  The
+    arguments are checked on the call; the steps run, on one workspace
+    that the default kick shares, as the records are consumed, and a
+    non-finite state raises :class:`IntegrationError` instead of being
+    yielded.
     """
     if t_final <= 0:
         raise ValueError("final time must be positive")
@@ -146,11 +152,12 @@ def records(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
     n_max = p.ctx.n_max
     if np.shape(u)[-2:] != (2 * n_max + 1, n_max + 1) or np.shape(v) != np.shape(u):
         raise ValueError("state must be in the half layout of the context cutoff")
+    work: dict = {}
     return _records(u, v, t_final, p, record_every,
-                    force if force is not None else wick_kick(p))
+                    force if force is not None else wick_kick(p, work), work)
 
 
-def _records(u, v, t_final, p, record_every, kick):
+def _records(u, v, t_final, p, record_every, kick, work):
     n_max, rho = p.ctx.n_max, p.ctx.rho
     n_steps, remainder = step_schedule(t_final, p.dt)
     # (step size, steps, time reached) of each recorded segment
@@ -159,7 +166,6 @@ def _records(u, v, t_final, p, record_every, kick):
                 for lo in range(0, n_steps, record_every)]
     if remainder > 0.0:
         segments.append((remainder, 1, t_final))
-    work: dict = {}
     yield 0.0, u, v
     for h, steps, t in segments:
         u, v = engine.run_steps(u, v, n_max, rho, h, steps, kick, work)

@@ -14,13 +14,13 @@ degree-(2m+2) potential is exact on it as well.
 
 The force, the potential and the Strang segments take an optional
 workspace ``work``, a caller-owned dict of scratch buffers
-(``fields._scratch``).  A run that keeps one workspace allocates nothing
-per step, so its page faults follow the work, not glibc's heap trimming.
+(``fields._scratch``); a force hook owns the workspace it was built with.
+A run that keeps its workspaces allocates nothing per step, so its page
+faults follow the work, not glibc's heap trimming.
 """
 
 from __future__ import annotations
 
-import inspect
 from functools import lru_cache
 
 import numpy as np
@@ -75,8 +75,7 @@ def wick_force(u: np.ndarray, ctx: WickContext,
     result is a fresh array.
     """
     g = grid_from_half(u, ctx.m_grid, work)
-    h = hermite_values(2 * ctx.m + 1, g, ctx.sigma,
-                       out=_scratch(work, "hermite", g.shape), work=work)
+    h = hermite_values(2 * ctx.m + 1, g, ctx.sigma, work)
     return half_from_grid(h, ctx.n_max, work)
 
 
@@ -91,33 +90,23 @@ def step_rows(ctx: WickContext) -> int:
     return _block_size(2 * m * m + 4 * m * (n + 1) + 6 * (2 * n + 1) * (n + 1))
 
 
-def _force_hook(force):
-    """``force`` as a hook ``force(u, work)``.  A one-argument map
-    u -> dv/dt is accepted too and is called without the workspace."""
-    try:
-        inspect.signature(force).bind(None, None)
-    except TypeError:
-        return lambda u, work: force(u)
-    return force
-
-
 def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
               dt: float, n_steps: int, force,
               work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One Strang segment of n_steps: half kick, rotations with interior
     full kicks (the two adjacent half kicks merged), final half kick.
 
-    ``force(u, work) -> array`` is the full nonlinear contribution to
-    dv/dt; it may return a buffer of the workspace ``work``, which is read
-    before the next call.  A one-argument ``force(u)`` is accepted as well.
-    ``work`` is the caller's dict of scratch buffers, kept across calls so
-    that the force grids, the step buffers and the rotation are made once
-    per run; without one, this call makes its own.  No step allocates.
-    Inputs are not modified and the results are fresh arrays.
+    ``force(u) -> array`` is the full nonlinear contribution to dv/dt; it
+    may return a buffer of its own workspace, which is read before the
+    next call.  ``work`` is the caller's dict of scratch buffers, kept
+    across calls so that the step buffers and the rotation are made once
+    per run; without one, this call makes its own.  With a force that
+    keeps its grids in a workspace (``dynamics.wick_kick``,
+    ``experiments.scaled_force_fn``) no step allocates.  Inputs are not
+    modified and the results are fresh arrays.
     """
     if n_steps < 1:
         return u, v
-    force = _force_hook(force)
     if work is None:
         work = {}
     # the rotation by dt, remade only when the step size changes
@@ -128,7 +117,7 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
         work["rotation_key"], work["rotation"] = key, (c, s / lam, s * lam)
     c, s_over, s_lam = work["rotation"]
 
-    kick = np.multiply(force(u, work), 0.5 * dt)
+    kick = np.multiply(force(u), 0.5 * dt)
     kick += v
     v = kick
     # the steps alternate u between its copy and a workspace buffer; the
@@ -145,9 +134,9 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
         v -= tmp
         u, new_u = new_u, u
         if k < n_steps - 1:
-            np.multiply(force(u, work), dt, out=tmp)
+            np.multiply(force(u), dt, out=tmp)
             v += tmp
-    np.multiply(force(u, work), 0.5 * dt, out=tmp)
+    np.multiply(force(u), 0.5 * dt, out=tmp)
     v += tmp
     if u is not out_u:
         np.copyto(out_u, u)
@@ -200,8 +189,7 @@ def wick_potential_values(u: np.ndarray, ctx: WickContext,
     means = np.empty(len(rows))
     for lo in range(0, len(rows), step):
         g = grid_from_half(rows[lo : lo + step], m_grid, work)
-        h = hermite_values(deg, g, ctx.sigma,
-                           out=_scratch(work, "hermite", g.shape), work=work)
+        h = hermite_values(deg, g, ctx.sigma, work)
         np.mean(h, axis=(-2, -1), out=means[lo : lo + step])
     return means.reshape(u.shape[:-2]) / deg
 

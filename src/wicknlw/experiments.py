@@ -153,12 +153,13 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
     h0 = obs0[:, 5] + obs0[:, 1]
 
     n_steps, remainder = step_schedule(t_final, dyn.dt)
-    kick = wick_kick(dyn)
+    work: dict = {}
+    kick = wick_kick(dyn, work)
 
     if n_steps:
-        u, v = engine.run_steps_blocked(u, v, ctx, dyn.dt, n_steps, kick)
+        u, v = engine.run_steps_blocked(u, v, ctx, dyn.dt, n_steps, kick, work)
     if remainder:
-        u, v = engine.run_steps_blocked(u, v, ctx, remainder, 1, kick)
+        u, v = engine.run_steps_blocked(u, v, ctx, remainder, 1, kick, work)
     ok = (np.isfinite(u).reshape(n_samples, -1).all(axis=1)
           & np.isfinite(v).reshape(n_samples, -1).all(axis=1))
     n_failed = int((~ok).sum())
@@ -436,18 +437,22 @@ def scaled_forcing_grid(f: Nonlinearity, eps: float, rho: float,
     return f.fn(eps * values) / eps ** 3 + lin * values
 
 
-def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int):
+def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int,
+                    work: dict | None = None):
     """Spectral kick for the rescaled microscopic equation at cutoff n_cut.
 
     Pointwise evaluation on a grid alias-safe through the quartic Taylor
-    order, then projection back to the working cutoff.
+    order, then projection back to the working cutoff.  Like
+    :func:`wicknlw.dynamics.wick_kick`, the hook ``force(u)`` draws its
+    grids from the workspace ``work`` when one is given and returns the
+    same buffer on every call; without one it returns fresh arrays.
     """
     m_grid = alias_free_grid(n_cut, 4)
     rho_e = counterterm_mass(f, eps, rho)
     lin = (eps * eps * rho - rho_e) / (eps * eps)
     inv3 = eps ** -3
 
-    def force(u: np.ndarray, work: dict | None = None) -> np.ndarray:
+    def force(u: np.ndarray) -> np.ndarray:
         # inv3 * f(eps g) + lin * g in place, in that operation order; a
         # ufunc f (np.sin) writes over eps g, other maps return a new array
         g = grid_from_half(u, m_grid, work)
@@ -464,13 +469,14 @@ def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int):
 def _scaled_rung(master: tuple[np.ndarray, np.ndarray], eps: float,
                  f: Nonlinearity, rho: float, dt: float):
     """(u, v, dyn, force) of the rescaled equation at cutoff floor(1/eps),
-    the data projected from the free sample ``master``."""
+    the data projected from the free sample ``master``; the force owns a
+    workspace for the run."""
     n_cut = int(math.floor(1.0 / eps))
     if master[0].shape[-2] < 2 * n_cut + 1:
         raise ValueError("master cutoff must dominate the working cutoff")
     u, v = (project(a, n_cut) for a in master)
     dyn = DynParams(WickContext.create(n_cut, rho, 1), dt, lam=f.limit_coupling)
-    return u, v, dyn, scaled_force_fn(f, eps, rho, n_cut)
+    return u, v, dyn, scaled_force_fn(f, eps, rho, n_cut, {})
 
 
 def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,

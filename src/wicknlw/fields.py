@@ -132,19 +132,23 @@ def _dft_factors(n_max: int, m_grid: int):
 
 def _scratch(work: dict | None, name: str, shape: tuple,
              dtype=float) -> np.ndarray | None:
-    """Buffer ``name`` of the caller-owned workspace ``work``, made on first
-    use and remade when the shape changes; None without a workspace, so an
-    ``out=`` argument falls back to a fresh array.
+    """Buffer ``name`` of the caller-owned workspace ``work``, of ``shape``;
+    None without a workspace, so an ``out=`` argument falls back to a fresh
+    array.
 
-    A kernel given a workspace returns one of its buffers, which the next
-    call with the same workspace overwrites.
+    The buffer is made on first use and remade only when a call needs more
+    leading rows, another trailing shape or dtype; a call with fewer rows
+    gets a leading-row view, so the short last block of a blocked loop
+    reuses the full blocks' memory.  A kernel given a workspace returns one
+    of its buffers, which the next call with the same workspace overwrites.
     """
     if work is None:
         return None
     buf = work.get(name)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
+    if (buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:]
+            or buf.shape[:1] < shape[:1]):
         buf = work[name] = np.empty(shape, dtype)
-    return buf
+    return buf if buf.shape == shape else buf[: shape[0]]
 
 
 def grid_from_half(half: np.ndarray, m_grid: int,

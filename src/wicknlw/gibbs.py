@@ -182,9 +182,10 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     sched = rng_for_sample(params.seed, (1 << 64) - 1)
     lengths = base_steps + sched.integers(-_JITTER, _JITTER + 1, size=moves)
     lengths = np.maximum(lengths, 1)
-    force = wick_kick(DynParams(ctx, dt))
-    # the trajectories and potentials of every move share one workspace
+    # the trajectories, their force and the potentials of every move share
+    # one workspace
     work: dict = {}
+    force = wick_kick(DynParams(ctx, dt), work)
 
     def propose(mv, cur, pot_cur, rngs):
         v = _free_halves(rngs, params, first=2)[0]

@@ -73,16 +73,16 @@ class WickContext:
 
 
 def hermite_values(k: int, x: np.ndarray, sigma: float,
-                   out: np.ndarray | None = None,
                    work: dict | None = None) -> np.ndarray:
-    """H_k(x; sigma) elementwise, written into ``out`` when it is given.
+    """H_k(x; sigma) elementwise.
 
-    Degrees 2, 3 and 4 (the Wick mass, force and potential of the cubic
-    equation) use their closed forms in the fewest full-array passes; the
-    quartic's square of x is the buffer ``hermite_sq`` of the workspace
-    ``work`` when one is given.  Other degrees use the stable three-term
-    recurrence H_0 = 1, H_1 = x, H_{j+1} = x * H_j - j * sigma * H_{j-1},
-    which follows from differentiating the generating function
+    With a workspace ``work`` the result is its buffer ``hermite`` and the
+    quartic's square of x its buffer ``hermite_sq``; without one the
+    result is a fresh array.  Degrees 2, 3 and 4 (the Wick mass, force and
+    potential of the cubic equation) use their closed forms in the fewest
+    full-array passes.  Other degrees use the stable three-term recurrence
+    H_0 = 1, H_1 = x, H_{j+1} = x * H_j - j * sigma * H_{j-1}, which
+    follows from differentiating the generating function
     exp(t x - sigma t^2 / 2) and is accurate in the operating range
     k <= 12, |x| <= 10 sqrt(sigma).
     """
@@ -91,6 +91,7 @@ def hermite_values(k: int, x: np.ndarray, sigma: float,
     if sigma <= 0:
         raise ValueError("variance parameter must be positive")
     x = np.asarray(x, dtype=float)
+    out = _scratch(work, "hermite", x.shape)
     if k == 0:
         if out is None:
             return np.ones_like(x)

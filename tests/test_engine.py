@@ -134,7 +134,7 @@ def test_run_steps_rows_are_independent_of_the_block(monkeypatch):
     rng = np.random.default_rng(12)
     u = half_from_full(np.stack([random_field(8, s, 0.3).coeffs for s in range(64)]))
     v = u * rng.standard_normal(u.shape)
-    kick = lambda x, work=None: -engine.wick_force(x, ctx, work)
+    kick = lambda x: -engine.wick_force(x, ctx)
     whole = engine.run_steps(u, v, 8, RHO, 1e-3, 7, kick)
     halves = [engine.run_steps(u[s], v[s], 8, RHO, 1e-3, 7, kick)
               for s in (slice(0, 32), slice(32, 64))]
@@ -158,25 +158,25 @@ def _state_rows(rows, n_max=8, seed=12):
     return u, v
 
 
-def test_one_argument_force_is_still_accepted():
-    # a force(u) hook without a workspace steps exactly like force(u, work)
-    ctx = WickContext.create(N, RHO, 1)
-    u, v = _state_rows(5, N)
-    one = engine.run_steps(u, v, N, RHO, 1e-3, 6, lambda x: -engine.wick_force(x, ctx))
-    two = engine.run_steps(u, v, N, RHO, 1e-3, 6, wick_kick(DynParams(ctx, 1e-3)))
-    for j in range(2):
-        np.testing.assert_array_equal(one[j], two[j])
+def _force_builders(ctx):
+    return {
+        "wick_kick": lambda work=None: wick_kick(DynParams(ctx, 1e-3), work),
+        "scaled_force": lambda work=None: scaled_force_fn(
+            NONLINEARITIES["sin"], 0.125, RHO, ctx.n_max, work),
+    }
 
 
-def test_workspace_force_returns_its_buffer_with_fresh_bits():
+@pytest.mark.parametrize("name", ["scaled_force", "wick_kick"])
+def test_workspace_force_returns_its_buffer_with_fresh_bits(name):
     ctx = WickContext.create(8, RHO, 1)
     u, _ = _state_rows(4)
-    force, work = wick_kick(DynParams(ctx, 1e-3)), {}
-    a = force(u, work)
-    b = force(2.0 * u, work)
+    build = _force_builders(ctx)[name]
+    force, fresh = build({}), build()
+    a = force(u)
+    b = force(2.0 * u)
     assert b is a
-    np.testing.assert_array_equal(b, force(2.0 * u))
-    np.testing.assert_array_equal(force(u, work), force(u))
+    np.testing.assert_array_equal(b, fresh(2.0 * u))
+    np.testing.assert_array_equal(force(u), fresh(u))
 
 
 def _fresh_kernels():
@@ -210,7 +210,8 @@ def test_run_steps_peak_does_not_grow_with_the_steps():
     ctx = WickContext.create(8, RHO, 1)
     assert engine.step_rows(ctx) == 61
     u, v = _state_rows(61)
-    kick, work = wick_kick(DynParams(ctx, 1e-3)), {}
+    work = {}
+    kick = wick_kick(DynParams(ctx, 1e-3), work)
     engine.run_steps(u, v, 8, RHO, 1e-3, 1, kick, work)
 
     def peak(n_steps):
@@ -230,17 +231,37 @@ def test_shared_workspace_is_bit_equal_to_fresh_calls(monkeypatch):
     # one workspace across segments of two step sizes and two block shapes
     ctx = WickContext.create(8, RHO, 1)
     u, v = _state_rows(30)
-    kick, work = wick_kick(DynParams(ctx, 1e-3)), {}
+    work = {}
+    kick, fresh = wick_kick(DynParams(ctx, 1e-3), work), wick_kick(DynParams(ctx, 1e-3))
     for dt, steps in ((1e-3, 3), (4e-4, 1), (1e-3, 4)):
-        want = engine.run_steps(u, v, 8, RHO, dt, steps, kick)
+        want = engine.run_steps(u, v, 8, RHO, dt, steps, fresh)
         got = engine.run_steps(u, v, 8, RHO, dt, steps, kick, work)
         for j in range(2):
             np.testing.assert_array_equal(got[j], want[j])
         u, v = got
     monkeypatch.setattr(engine, "step_rows", lambda ctx: 8)
-    want = engine.run_steps_blocked(u, v, ctx, 1e-3, 5, kick)
+    want = engine.run_steps_blocked(u, v, ctx, 1e-3, 5, fresh)
     got = engine.run_steps_blocked(u, v, ctx, 1e-3, 5, kick, work)
     for j in range(2):
         np.testing.assert_array_equal(got[j], want[j])
     np.testing.assert_array_equal(engine.wick_potential_values(u, ctx, work),
                                   engine.wick_potential_values(u, ctx))
+
+
+def test_short_blocks_reuse_the_full_blocks_buffers(monkeypatch):
+    # 30 rows in blocks of 8 end in a 6-row block; it runs on leading-row
+    # views of the 8-row buffers, so blocked steps and potentials of any
+    # row count keep the workspace they made on the first full block
+    ctx = WickContext.create(8, RHO, 1)
+    monkeypatch.setattr(engine, "step_rows", lambda ctx: 8)
+    u, v = _state_rows(30)
+    work = {}
+    kick = wick_kick(DynParams(ctx, 1e-3), work)
+    engine.run_steps_blocked(u, v, ctx, 1e-3, 2, kick, work)
+    engine.wick_potential_values(u, ctx, work)
+    buffers = {k: b for k, b in work.items() if isinstance(b, np.ndarray)}
+    assert {len(b) for b in buffers.values()} == {8}
+    for rows in (30, 6, 17):
+        engine.run_steps_blocked(u[:rows], v[:rows], ctx, 1e-3, 2, kick, work)
+        engine.wick_potential_values(u[:rows], ctx, work)
+        assert all(work[k] is b for k, b in buffers.items())
