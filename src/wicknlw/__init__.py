@@ -1,7 +1,6 @@
 """Wick-ordered nonlinear wave dynamics and Gibbs-measure verification on T^2."""
 
 from .fields import (
-    SpectralField,
     alias_free_grid,
     grid_from_half,
     half_from_grid,

@@ -30,7 +30,7 @@ from .experiments import (
     observable_matrix,
     universality_experiment,
 )
-from .fields import SpectralField, full_from_half
+from .fields import full_from_half
 from .free_field import MuParams, _block_size, sample_free_field, sample_pair_half
 from .gibbs import ChainOptions, sample_gibbs_arrays
 from .reporting import (
@@ -277,8 +277,7 @@ def _run_sample(cfg: RunConfig, outdir: Path) -> int:
     for lo in range(0, cfg.samples, step):
         u, v = sample_pair_half(params, min(step, cfg.samples - lo), lo)
         if lo == 0:
-            write_field_csv(SpectralField(cfg.n, full_from_half(u[0])),
-                            outdir / "field_u_0.csv")
+            write_field_csv(u[0], outdir / "field_u_0.csv")
         cols = np.column_stack([
             engine.l2_norm_sq(u, cfg.n), engine.l2_norm_sq(v, cfg.n),
             engine.quadratic_energy_values(u, v, cfg.n, cfg.rho)])

@@ -18,12 +18,11 @@ from . import engine
 from .dynamics import (DynParams, IntegrationError, Trajectory, evolve,
                        record_count, records, step_schedule, wick_kick)
 from .fields import (
-    _lattice,
     _scratch,
     alias_free_grid,
-    full_from_half,
     grid_from_half,
     half_from_grid,
+    half_weights,
     project,
     sobolev_norm,
 )
@@ -338,20 +337,27 @@ def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
     from the covariance coefficients.  With x0 the first of HERMITE_POINTS,
     the pairs are (x0, x0) plus (x0, y) for each later point y.
     """
+    if n_samples < 2:
+        raise ValueError("need at least two samples for standard errors")
+    if k_max < 0:
+        raise ValueError("Hermite degree k_max must be nonnegative")
     params = MuParams(n_max, rho, seed)
     sigma = point_variance(n_max, rho)
-    gam = covariance_field(n_max, rho)
-    nx, ny, _ = _lattice(n_max)
+    n1 = np.arange(-n_max, n_max + 1)[:, None]
+    n2 = np.arange(n_max + 1)
 
-    def gamma_at(dx: float, dy: float) -> float:
-        return float(np.real(np.sum(gam * np.exp(1j * (nx * dx + ny * dy)))))
+    def weights(x) -> np.ndarray:
+        # e^{i n.x} on the half columns, times their Parseval weights
+        return half_weights(n_max) * np.exp(1j * (n1 * x[0] + n2 * x[1]))
 
+    def evaluate(half: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # sum_n c_n e^{i n.x} over the full square of a real field
+        return np.sum((half * w).real, axis=(-2, -1))
+
+    gam = covariance_field(n_max, rho)[:, n_max:]
     x0 = HERMITE_POINTS[0]
     pairs = [(x0, x0)] + [(x0, q) for q in HERMITE_POINTS[1:]]
-    phases = []
-    for x, y in pairs:
-        phases.append((np.exp(1j * (nx * x[0] + ny * x[1])).ravel(),
-                       np.exp(1j * (nx * y[0] + ny * y[1])).ravel()))
+    phases = [(weights(x), weights(y)) for x, y in pairs]
 
     vals_x = [[] for _ in pairs]
     vals_y = [[] for _ in pairs]
@@ -360,20 +366,15 @@ def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
         hi = min(lo + block, n_samples)
         u0, v0 = sample_pair_half(params, hi - lo, start_index=lo)
         z, _ = engine.rotate(u0, v0, n_max, rho, t_eval)
-        flat = full_from_half(z).reshape(hi - lo, -1)
-        if hi - lo == 1:
-            # numpy runs a one-row product through its dot kernel, which
-            # rounds differently from the matrix-vector kernel of larger blocks
-            flat = np.concatenate([flat, flat])
         for idx, (px, py) in enumerate(phases):
-            vals_x[idx].append(np.real(flat @ px)[: hi - lo] / math.sqrt(sigma))
-            vals_y[idx].append(np.real(flat @ py)[: hi - lo] / math.sqrt(sigma))
+            vals_x[idx].append(evaluate(z, px) / math.sqrt(sigma))
+            vals_y[idx].append(evaluate(z, py) / math.sqrt(sigma))
 
     rows = []
     for idx, (x, y) in enumerate(pairs):
         wx = np.concatenate(vals_x[idx])
         wy = np.concatenate(vals_y[idx])
-        inner = gamma_at(x[0] - y[0], x[1] - y[1]) / sigma
+        inner = float(evaluate(gam, weights((x[0] - y[0], x[1] - y[1])))) / sigma
         for k in range(k_max + 1):
             hk = hermite_values(k, wx, 1.0)
             for m in range(k_max + 1):

@@ -11,8 +11,9 @@ Conventions used throughout the package:
   Hermitian symmetry ``c(-n) = conj(c(n))``, so the columns n2 >= 0 of the
   square, shape (2 n_max + 1, n_max + 1), determine it.  This half
   spectrum, batched over leading axes, is how every study, sampler and
-  kernel stores a field; the full square appears only in
-  :class:`SpectralField`, the type of field dumps.
+  kernel stores a field; the full square appears only in the field dumps
+  (:func:`full_from_half`) and in the exact chaos oracle of
+  :mod:`wicknlw.free_field`.
 * Collocation grids are uniform M x M grids on [0, 2*pi)^2.  A grid is
   alias-free for a product of degree p of cutoff-N fields whenever
   ``M > (p + 1) * N``; helper :func:`alias_free_grid` returns the smallest
@@ -22,17 +23,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "SpectralField",
     "mode_norms_sq",
     "ball_mask",
     "alias_free_grid",
-    "half_from_full",
     "full_from_half",
     "half_weights",
     "grid_from_half",
@@ -82,14 +80,9 @@ def alias_free_grid(n_max: int, degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def half_from_full(coeffs: np.ndarray) -> np.ndarray:
-    """Columns n2 in [0, n_max] of a full Hermitian coefficient square."""
-    n_max = (coeffs.shape[-1] - 1) // 2
-    return coeffs[..., :, n_max:]
-
-
 def full_from_half(half: np.ndarray) -> np.ndarray:
-    """Rebuild the full square from the n2 >= 0 columns by conjugate mirror."""
+    """Rebuild the full square from the n2 >= 0 columns by conjugate mirror;
+    the layout of the ``states.npz`` and field CSV dumps."""
     k = half.shape[-2]
     n_max = (k - 1) // 2
     full = np.empty(half.shape[:-1] + (k,), dtype=complex)
@@ -226,63 +219,3 @@ def sobolev_norm(half: np.ndarray, s: float) -> np.ndarray:
     bracket = (1.0 + mode_norms_sq(n_max)[:, n_max:]) ** s
     return np.sqrt(np.sum(half_weights(n_max) * bracket * np.abs(half) ** 2,
                           axis=(-2, -1)))
-
-
-def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Exact Hermitian symmetrization c <- (c + conj(c(-n))) / 2."""
-    return 0.5 * (coeffs + np.conj(coeffs[..., ::-1, ::-1]))
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Hermitian Fourier coefficients of a real field, cutoff ``n_max``.
-
-    ``coeffs[i, j]`` is the coefficient of the mode ``(i - n_max, j - n_max)``.
-    The validated, immutable full square of one field: the type of the field
-    dumps in :mod:`wicknlw.reporting`.
-    """
-
-    n_max: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = 2 * self.n_max + 1
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (k, k):
-            raise ValueError(f"coefficient array must be ({k}, {k}), got {c.shape}")
-        scale = float(np.max(np.abs(c))) if c.size else 0.0
-        tol = 1e-12 * max(scale, 1.0)
-        if np.max(np.abs(c - np.conj(c[::-1, ::-1]))) > tol:
-            raise ValueError("coefficients are not Hermitian symmetric")
-        if np.max(np.abs(c[~ball_mask(self.n_max)]), initial=0.0) > tol:
-            raise ValueError(f"coefficients outside the ball |n| <= {self.n_max}")
-        c = _symmetrize(c)
-        c[~ball_mask(self.n_max)] = 0.0
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zeros(cls, n_max: int) -> "SpectralField":
-        k = 2 * n_max + 1
-        return cls(n_max, np.zeros((k, k), dtype=complex))
-
-    @classmethod
-    def from_modes(cls, n_max: int, modes: dict) -> "SpectralField":
-        """Build a field from ``{(n1, n2): value}``; mirror modes are filled in."""
-        k = 2 * n_max + 1
-        c = np.zeros((k, k), dtype=complex)
-        for (n1, n2), val in modes.items():
-            c[n1 + n_max, n2 + n_max] += val
-            if (n1, n2) != (0, 0):
-                c[-n1 + n_max, -n2 + n_max] += np.conj(val)
-        return cls(n_max, c)
-
-    def coeff(self, n1: int, n2: int) -> complex:
-        """Coefficient of mode (n1, n2); zero outside the stored square."""
-        if abs(n1) > self.n_max or abs(n2) > self.n_max:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[n1 + self.n_max, n2 + self.n_max])
-
-    def l2_norm_sq(self) -> float:
-        """Squared L^2 norm (normalized measure) via Parseval."""
-        return float(np.sum(np.abs(self.coeffs) ** 2))

@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__
 from .experiments import observable_matrix
-from .fields import SpectralField
+from .fields import ball_mask, full_from_half
 
 __all__ = [
     "provenance",
@@ -29,6 +29,8 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
 ]
+
+_FIELD_HEADER = ["n1", "n2", "re", "im"]
 
 
 def provenance() -> dict:
@@ -94,25 +96,48 @@ def trajectory_table(traj, ctx) -> tuple[list[str], list[list]]:
     return header, cols.tolist()
 
 
-def write_field_csv(field: SpectralField, path: str | Path) -> Path:
-    """Debug dump, one row per stored mode: n1, n2, re, im."""
-    rows = []
-    n = field.n_max
-    for i in range(2 * n + 1):
-        for j in range(2 * n + 1):
-            c = field.coeffs[i, j]
-            rows.append([i - n, j - n, float(c.real), float(c.imag)])
-    return write_csv(path, ["n1", "n2", "re", "im"], rows)
+def _hermitian_square(c: np.ndarray) -> np.ndarray:
+    """Full coefficient square ``c`` of a field dump, checked to be Hermitian
+    and to vanish outside the ball to 1e-12 of its largest value (at least
+    1), then re-symmetrized exactly with exact zeros outside the ball."""
+    n_max = (c.shape[-1] - 1) // 2
+    tol = 1e-12 * max(float(np.max(np.abs(c))), 1.0)
+    if np.max(np.abs(c - np.conj(c[::-1, ::-1]))) > tol:
+        raise ValueError("coefficients are not Hermitian symmetric")
+    outside = ~ball_mask(n_max)
+    if np.max(np.abs(c[outside]), initial=0.0) > tol:
+        raise ValueError(f"coefficients outside the ball |n| <= {n_max}")
+    c = 0.5 * (c + np.conj(c[::-1, ::-1]))
+    c[outside] = 0.0
+    return c
 
 
-def read_field_csv(path: str | Path) -> SpectralField:
+def write_field_csv(half: np.ndarray, path: str | Path) -> Path:
+    """Field dump of one half spectrum, mirrored to the full square: one
+    row (n1, n2, re, im) per mode, n1-major."""
+    full = _hermitian_square(full_from_half(half))
+    n = (full.shape[-1] - 1) // 2
+    rows = [[i - n, j - n, float(c.real), float(c.imag)]
+            for (i, j), c in np.ndenumerate(full)]
+    return write_csv(path, _FIELD_HEADER, rows)
+
+
+def read_field_csv(path: str | Path) -> np.ndarray:
+    """Half spectrum of a field dump that holds every mode of its square
+    exactly once; checked and re-symmetrized as :func:`_hermitian_square`."""
     with open(path) as fh:
         reader = csv.reader(fh)
-        next(reader)
-        entries = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in reader]
-    n_max = max(max(abs(e[0]), abs(e[1])) for e in entries)
+        if next(reader, None) != _FIELD_HEADER:
+            raise ValueError(f"field dump header must be {','.join(_FIELD_HEADER)}")
+        rows = [(int(r[0]), int(r[1]), float(r[2]) + 1j * float(r[3]))
+                for r in reader]
+    n_max = max((max(abs(r[0]), abs(r[1])) for r in rows), default=0)
     k = 2 * n_max + 1
+    modes = {(n1, n2): val for n1, n2, val in rows}
+    if len(modes) != len(rows) or len(rows) != k * k:
+        raise ValueError("field dump must hold every mode of its cutoff-"
+                         f"{n_max} square exactly once")
     c = np.zeros((k, k), dtype=complex)
-    for n1, n2, re, im in entries:
-        c[n1 + n_max, n2 + n_max] = re + 1j * im
-    return SpectralField(n_max, c)
+    for (n1, n2), val in modes.items():
+        c[n1 + n_max, n2 + n_max] = val
+    return _hermitian_square(c)[:, n_max:]

@@ -1,22 +1,37 @@
 import numpy as np
 
-from wicknlw import SpectralField
-from wicknlw.fields import ball_mask, half_from_full, mode_norms_sq
+from wicknlw.fields import ball_mask, mode_norms_sq
 from wicknlw.free_field import rng_for_sample
 
 
-def random_field(n_max: int, seed: int, scale: float = 1.0) -> SpectralField:
-    """Hermitian ball-supported field with Gaussian coefficients."""
+def random_field(n_max: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """Full (K, K) Hermitian, ball-supported square of Gaussian coefficients;
+    entry [i, j] is the coefficient of mode (i - n_max, j - n_max)."""
     rng = np.random.default_rng(seed)
     k = 2 * n_max + 1
     c = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     c = 0.5 * (c + np.conj(c[::-1, ::-1])) * scale
     c[~ball_mask(n_max)] = 0.0
-    return SpectralField(n_max, c)
+    return c
 
 
-def half(f: SpectralField) -> np.ndarray:
-    return half_from_full(f.coeffs)
+def half_from_full(coeffs: np.ndarray) -> np.ndarray:
+    """Columns n2 in [0, n_max] of a full Hermitian coefficient square."""
+    n_max = (coeffs.shape[-1] - 1) // 2
+    return coeffs[..., :, n_max:]
+
+
+def half_modes(n_max: int, modes: dict) -> np.ndarray:
+    """Half spectrum of the real field sum c_n e^{i n.x} + mirrors, from
+    ``{(n1, n2): c_n}``; every mode but the zero mode gains its conjugate
+    mirror."""
+    k = 2 * n_max + 1
+    c = np.zeros((k, k), dtype=complex)
+    for (n1, n2), val in modes.items():
+        c[n1 + n_max, n2 + n_max] += val
+        if (n1, n2) != (0, 0):
+            c[n_max - n1, n_max - n2] += np.conj(val)
+    return half_from_full(c)
 
 
 def zeros_half(n_max: int) -> np.ndarray:

@@ -16,13 +16,12 @@ import pytest
 
 import wicknlw as w
 from wicknlw.experiments import NONLINEARITIES, scaled_forcing_grid
-from wicknlw.fields import half_from_full
 from wicknlw.engine import hamiltonian_values
 from wicknlw.free_field import sample_pair_half
 from wicknlw.gibbs import ChainOptions, importance_weights, sample_gibbs_arrays
 from wicknlw.wick import hermite_values
 
-from conftest import random_field
+from conftest import half_from_full, random_field
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -70,8 +69,8 @@ def test_criterion_02_wick_binomial_identity():
     ok = True
     worst = 0.0
     for trial in range(3):
-        z = half_from_full(random_field(8, 200 + trial).coeffs)
-        wv = half_from_full(random_field(8, 300 + trial).coeffs)
+        z = half_from_full(random_field(8, 200 + trial))
+        wv = half_from_full(random_field(8, 300 + trial))
         for k in range(1, 6):
             # complete spectra of both sides, cutoff kN
             got = w.wick_binomial(z, wv, k, sigma)

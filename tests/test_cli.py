@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wicknlw import MuParams, SpectralField, WickContext, sample_free_field
+from wicknlw import (DynParams, MuParams, WickContext, evolve,
+                     sample_free_field)
 from wicknlw import cli as cli_module
 from wicknlw.experiments import observable_matrix
-from wicknlw.fields import full_from_half, half_from_full, mode_norms_sq
+from wicknlw.fields import ball_mask, full_from_half, mode_norms_sq
 from wicknlw.reporting import provenance
 from wicknlw.cli import (
     EXIT_CONFIG,
@@ -26,6 +27,8 @@ from wicknlw.cli import (
     parse_config,
     read_config_file,
 )
+
+from conftest import half_from_full
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -152,6 +155,38 @@ class TestDispatch:
         for a in (snap["u"], snap["v"]):
             np.testing.assert_array_equal(a, np.conj(a[:, ::-1, ::-1]))
 
+    def test_sample_field_dump_is_the_mirrored_first_draw(self, tmp_path):
+        # reference: sample 0's half spectrum mirrored mode by mode onto the
+        # full square, c(n1, n2) = conj(c(-n1, -n2)) for n2 < 0, exact zeros
+        # outside the ball; rows n1-major, floats as repr
+        cfg = parse_config(["sample", "--n", "3", "--samples", "2", "--rho", "1.5",
+                            "--seed", "13", "--out", str(tmp_path)])
+        assert dispatch(cfg) == EXIT_OK
+        h = sample_free_field(MuParams(3, 1.5, 13))[0]
+        want = [["n1", "n2", "re", "im"]]
+        for n1 in range(-3, 4):
+            for n2 in range(-3, 4):
+                c = h[n1 + 3, n2] if n2 >= 0 else np.conj(h[3 - n1, -n2])
+                if n1 * n1 + n2 * n2 > 9:
+                    c = 0j
+                want.append([str(n1), str(n2), repr(float(c.real)),
+                             repr(float(c.imag))])
+        with open(tmp_path / "sample" / "field_u_0.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == want
+
+    def test_evolve_state_dump_is_the_mirrored_trajectory(self, tmp_path):
+        cfg = parse_config(["evolve", "--n", "3", "--T", "0.05", "--dt", "0.01",
+                            "--seed", "5", "--dump-states", "--out", str(tmp_path)])
+        assert dispatch(cfg) == EXIT_OK
+        snap = np.load(tmp_path / "evolve" / "states.npz")
+        dyn = DynParams(WickContext.create(3, cfg.rho, cfg.m), cfg.resolved_dt())
+        traj = evolve(*sample_free_field(MuParams(3, cfg.rho, 5)), cfg.T, dyn,
+                      record_every=cfg.resolved_record_every())
+        assert snap["times"].tobytes() == traj.times.tobytes()
+        for key, half in (("u", traj.u), ("v", traj.v)):
+            assert snap[key].dtype == complex
+            assert snap[key].tobytes() == full_from_half(half).tobytes(), key
+
     def test_sample_rows_match_per_index_draws(self, tmp_path):
         cfg = parse_config(["sample", "--n", "3", "--samples", "7", "--rho", "1.5",
                             "--seed", "13", "--out", str(tmp_path)])
@@ -160,13 +195,16 @@ class TestDispatch:
         assert [int(r["index"]) for r in rows] == list(range(7))
         lam2 = 1.5 + mode_norms_sq(3)
         for r in rows:
-            # references on the full coefficient squares
-            u, v = (SpectralField(3, full_from_half(a)) for a in
+            # references on the full coefficient squares, which are
+            # Hermitian and vanish outside the ball
+            u, v = (full_from_half(a) for a in
                     sample_free_field(MuParams(3, 1.5, 13), int(r["index"])))
-            quad = 0.5 * np.sum(lam2 * np.abs(u.coeffs) ** 2
-                                + np.abs(v.coeffs) ** 2)
-            for key, want in (("l2_u_sq", u.l2_norm_sq()),
-                              ("l2_v_sq", v.l2_norm_sq()),
+            for a in (u, v):
+                np.testing.assert_array_equal(a, np.conj(a[::-1, ::-1]))
+                assert np.all(a[~ball_mask(3)] == 0)
+            quad = 0.5 * np.sum(lam2 * np.abs(u) ** 2 + np.abs(v) ** 2)
+            for key, want in (("l2_u_sq", np.sum(np.abs(u) ** 2)),
+                              ("l2_v_sq", np.sum(np.abs(v) ** 2)),
                               ("quadratic_energy", quad)):
                 assert float(r[key]) == pytest.approx(want, rel=1e-12), key
 

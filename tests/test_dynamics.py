@@ -7,7 +7,6 @@ from wicknlw import (
     DynParams,
     IntegrationError,
     MuParams,
-    SpectralField,
     WickContext,
     engine,
     evolve,
@@ -15,16 +14,16 @@ from wicknlw import (
 )
 from wicknlw.dynamics import (Trajectory, default_dt, record_count, records,
                               wick_kick)
-from wicknlw.fields import ball_mask, full_from_half, half_from_full
+from wicknlw.fields import ball_mask, full_from_half
 from wicknlw.free_field import sample_pair_half
 
-from conftest import random_field
+from conftest import half_from_full, half_modes, random_field
 
 
 def random_state(n_max, seed, scale=1.0):
     """Half-layout (u, v) of two seeded random fields."""
-    return (half_from_full(random_field(n_max, seed, scale).coeffs),
-            half_from_full(random_field(n_max, seed + 1000, scale).coeffs))
+    return (half_from_full(random_field(n_max, seed, scale)),
+            half_from_full(random_field(n_max, seed + 1000, scale)))
 
 
 def zero_state(n_max):
@@ -73,7 +72,7 @@ class TestNonlinearForce:
     def test_constant_field_closed_form(self):
         ctx = WickContext.create(2, 1.0, 1)
         c = 0.9
-        u = half_from_full(SpectralField.from_modes(2, {(0, 0): c}).coeffs)
+        u = half_modes(2, {(0, 0): c})
         f = engine.wick_force(u, ctx)
         assert f[2, 0].real == pytest.approx(hermite(3, c, ctx.sigma))
         assert np.sum(np.abs(f)) == pytest.approx(abs(hermite(3, c, ctx.sigma)))

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 
-from conftest import random_field
+from conftest import half_from_full, random_field
 from wicknlw import NONLINEARITIES, DynParams, MuParams, WickContext, engine
 from wicknlw.dynamics import wick_kick
 from wicknlw.experiments import scaled_force_fn
-from wicknlw.fields import ball_mask, grid_from_half, half_from_full, half_from_grid
+from wicknlw.fields import ball_mask, grid_from_half, half_from_grid
 from wicknlw.free_field import sample_pair_half
 
 N, RHO = 3, 1.0
@@ -54,7 +54,7 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
 @pytest.fixture
 def full():
     """A batch of two seeded random fields, as full coefficient squares."""
-    return np.stack([random_field(N, 41).coeffs, random_field(N, 42).coeffs])
+    return np.stack([random_field(N, 41), random_field(N, 42)])
 
 
 @pytest.mark.parametrize("m_grid", [7, 16, 33, 41])
@@ -109,7 +109,7 @@ def test_wick_potential_matches_trigonometric_sums(m, n_max):
     # twice as fine, where every mode of the degree-(2m+2) product is exact
     ctx = WickContext.create(n_max, RHO, m)
     deg, s = 2 * m + 2, ctx.sigma
-    full = np.stack([random_field(n_max, 41).coeffs, random_field(n_max, 42).coeffs])
+    full = np.stack([random_field(n_max, 41), random_field(n_max, 42)])
     g = direct_grid(full, 2 * deg * n_max + 5)
     h = s ** (deg / 2) * hermeval(g / np.sqrt(s), [0.0] * deg + [1.0])
     want = np.mean(h, axis=(-2, -1)) / deg
@@ -132,7 +132,7 @@ def test_run_steps_rows_are_independent_of_the_block(monkeypatch):
     # the HMC trajectory and invariance_test step in blocks of step_rows
     ctx = WickContext.create(8, RHO, 1)
     rng = np.random.default_rng(12)
-    u = half_from_full(np.stack([random_field(8, s, 0.3).coeffs for s in range(64)]))
+    u = half_from_full(np.stack([random_field(8, s, 0.3) for s in range(64)]))
     v = u * rng.standard_normal(u.shape)
     kick = lambda x: -engine.wick_force(x, ctx)
     whole = engine.run_steps(u, v, 8, RHO, 1e-3, 7, kick)

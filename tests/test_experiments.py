@@ -43,23 +43,24 @@ class TestObservables:
     def test_matrix_matches_public_functions(self):
         # references on the full coefficient square: Parseval sums and the
         # zero mode of the quartic Wick power
-        from conftest import random_field
+        from conftest import half_from_full, random_field
         from wicknlw import wick_power
-        from wicknlw.fields import half_from_full, mode_norms_sq
+        from wicknlw.fields import mode_norms_sq
 
         ctx = WickContext.create(3, 1.0, 1)
         u = random_field(3, 1)
         v = random_field(3, 2)
-        mat = observable_matrix(half_from_full(u.coeffs)[None],
-                                half_from_full(v.coeffs)[None], ctx)[0]
-        quad = 0.5 * np.sum((1.0 + mode_norms_sq(3)) * np.abs(u.coeffs) ** 2
-                            + np.abs(v.coeffs) ** 2)
-        assert mat[0] == pytest.approx(u.l2_norm_sq() - ctx.sigma, rel=1e-12)
-        quartic = wick_power(half_from_full(u.coeffs), 4, ctx.sigma)
+        mat = observable_matrix(half_from_full(u)[None],
+                                half_from_full(v)[None], ctx)[0]
+        quad = 0.5 * np.sum((1.0 + mode_norms_sq(3)) * np.abs(u) ** 2
+                            + np.abs(v) ** 2)
+        assert mat[0] == pytest.approx(np.sum(np.abs(u) ** 2) - ctx.sigma, rel=1e-12)
+        quartic = wick_power(half_from_full(u), 4, ctx.sigma)
         assert mat[1] == pytest.approx(quartic[12, 0].real / 4, rel=1e-12)
-        assert mat[2] == pytest.approx(abs(u.coeff(0, 0)) ** 2)
-        assert mat[3] == pytest.approx(abs(u.coeff(1, 0)) ** 2)
-        assert mat[4] == pytest.approx(abs(u.coeff(1, 1)) ** 2)
+        # entry [i, j] of the square is the mode (i - 3, j - 3)
+        assert mat[2] == pytest.approx(abs(u[3, 3]) ** 2)
+        assert mat[3] == pytest.approx(abs(u[4, 3]) ** 2)
+        assert mat[4] == pytest.approx(abs(u[4, 4]) ** 2)
         assert mat[5] == pytest.approx(quad, rel=1e-12)
         assert len(mat) == len(DEFAULT_OBSERVABLES)
 
@@ -165,6 +166,41 @@ class TestHermiteMoments:
             assert r["k"] == r["m"] == 0
             assert r["mc_estimate"] == pytest.approx(1.0)
 
+    def test_matches_full_square_evaluation(self):
+        # reference: field values and gamma(x - y) as direct sums over the
+        # full coefficient square
+        from wicknlw.experiments import HERMITE_POINTS
+        from wicknlw.fields import full_from_half
+        from wicknlw.free_field import covariance_field
+
+        n, rho, t, ns = 3, 1.2, 0.4, 9
+        rows = hermite_moment_study(n, rho, 1, ns, seed=4, t_eval=t)
+        u, v = sample_pair_half(MuParams(n, rho, 4), ns)
+        z = full_from_half(engine.rotate(u, v, n, rho, t)[0])
+        k = np.arange(-n, n + 1)
+
+        def at(c, x):
+            phase = np.exp(1j * (k[:, None] * x[0] + k[None, :] * x[1]))
+            return np.real(np.sum(c * phase, axis=(-2, -1)))
+
+        sigma = point_variance(n, rho)
+        x0 = HERMITE_POINTS[0]
+        for y in HERMITE_POINTS:
+            r, = (r for r in rows if r["y"] == list(y) and r["k"] == r["m"] == 1)
+            want = np.mean(at(z, x0) * at(z, y)) / sigma
+            assert r["mc_estimate"] == pytest.approx(want, rel=1e-12)
+            gamma = at(covariance_field(n, rho), np.subtract(x0, y))
+            assert r["expected"] == pytest.approx(gamma / sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_rejects_fewer_than_two_samples(self, n_samples):
+        with pytest.raises(ValueError, match="two samples"):
+            hermite_moment_study(2, 1.0, 1, n_samples, seed=0)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="k_max"):
+            hermite_moment_study(2, 1.0, -1, 10, seed=0)
+
 
 class TestCounterterm:
     def test_sin_desk_value(self):
@@ -199,12 +235,11 @@ class TestScaledForcing:
         assert np.max(np.abs(got - want)) <= 1e-10 * (1 + np.max(np.abs(want)))
 
     def test_spectral_route_matches_wick_force(self):
-        from conftest import random_field
-        from wicknlw.fields import half_from_full
+        from conftest import half_from_full, random_field
 
         eps, rho, n = 1 / 8, 1.0, 8
         ctx = WickContext.create(n, rho, 1)
-        u = half_from_full(random_field(n, 3).coeffs)[None]
+        u = half_from_full(random_field(n, 3))[None]
         force = scaled_force_fn(NONLINEARITIES["cubic"], eps, rho, n)
         got = force(u)
         want = -engine.wick_force(u, ctx) / 6.0
@@ -379,14 +414,13 @@ class TestBoundedMemory:
 class TestUniversality:
     def test_half_difference_pads_the_smaller_cutoff(self):
         # reference: zero-pad the full coefficient squares, then subtract
-        from conftest import random_field
-        from wicknlw.fields import half_from_full
+        from conftest import half_from_full, random_field
 
         small, big = random_field(2, 7), random_field(5, 8)
         padded = np.zeros((11, 11), dtype=complex)
-        padded[3:8, 3:8] = small.coeffs
-        want = half_from_full(big.coeffs - padded)
-        a, b = half_from_full(big.coeffs), half_from_full(small.coeffs)
+        padded[3:8, 3:8] = small
+        want = half_from_full(big - padded)
+        a, b = half_from_full(big), half_from_full(small)
         np.testing.assert_array_equal(experiments._half_difference(a, b), want)
         np.testing.assert_array_equal(experiments._half_difference(b, a), -want)
 

@@ -17,9 +17,9 @@ from wicknlw import (
 from wicknlw import free_field
 from wicknlw.free_field import sample_pair_half
 from wicknlw.engine import l2_norm_sq
-from wicknlw.fields import ball_mask, half_from_full
+from wicknlw.fields import ball_mask
 
-from conftest import reference_free_halves
+from conftest import half_from_full, reference_free_halves
 
 
 class TestPointVariance:

@@ -8,7 +8,6 @@ import pytest
 from wicknlw import (
     ChainOptions,
     MuParams,
-    SpectralField,
     WickContext,
     importance_weights,
     single_mode_moment_quadrature,
@@ -18,7 +17,8 @@ from wicknlw.engine import l2_norm_sq, wick_mass_values, wick_potential_values
 from wicknlw.free_field import _free_halves, rng_for_sample, sample_pair_half
 from wicknlw.gibbs import sample_gibbs_arrays
 
-from conftest import half, random_field, reference_free_halves
+from conftest import (half_from_full, half_modes, random_field,
+                      reference_free_halves, zeros_half)
 
 
 def grid_mean(spectrum: np.ndarray) -> float:
@@ -29,34 +29,34 @@ def grid_mean(spectrum: np.ndarray) -> float:
 class TestPotentialAndMass:
     def test_zero_field_potential(self):
         ctx = WickContext.create(3, 1.0, 1)
-        assert wick_potential_values(half(SpectralField.zeros(3)), ctx) == \
+        assert wick_potential_values(zeros_half(3), ctx) == \
             pytest.approx(0.75 * ctx.sigma**2)
 
     def test_constant_field_potential(self):
         ctx = WickContext.create(2, 1.0, 1)
         c = 1.3
         want = (c**4 - 6 * ctx.sigma * c**2 + 3 * ctx.sigma**2) / 4
-        u = SpectralField.from_modes(2, {(0, 0): c})
-        assert wick_potential_values(half(u), ctx) == pytest.approx(want)
-        assert grid_mean(wick_power(half(u), 4, ctx.sigma)) / 4 == pytest.approx(want)
+        u = half_modes(2, {(0, 0): c})
+        assert wick_potential_values(u, ctx) == pytest.approx(want)
+        assert grid_mean(wick_power(u, 4, ctx.sigma)) / 4 == pytest.approx(want)
 
     def test_potential_even(self):
         ctx = WickContext.create(3, 1.0, 1)
-        u = half(random_field(3, 4))
+        u = half_from_full(random_field(3, 4))
         assert wick_potential_values(u, ctx) == pytest.approx(
             wick_potential_values(-u, ctx))
 
     def test_zero_field_mass(self):
         ctx = WickContext.create(3, 1.0, 1)
-        assert wick_mass_values(half(SpectralField.zeros(3)), ctx) == \
+        assert wick_mass_values(zeros_half(3), ctx) == \
             pytest.approx(-ctx.sigma)
 
     def test_mass_equals_l2_minus_sigma(self):
         ctx = WickContext.create(4, 1.0, 1)
         u = random_field(4, 5)
-        want = u.l2_norm_sq() - ctx.sigma
-        assert wick_mass_values(half(u), ctx) == pytest.approx(want, rel=1e-12)
-        assert grid_mean(wick_power(half(u), 2, ctx.sigma)) == pytest.approx(
+        want = np.sum(np.abs(u) ** 2) - ctx.sigma
+        assert wick_mass_values(half_from_full(u), ctx) == pytest.approx(want, rel=1e-12)
+        assert grid_mean(wick_power(half_from_full(u), 2, ctx.sigma)) == pytest.approx(
             want, rel=1e-12)
 
     def test_mass_mean_and_variance_under_mu(self):
@@ -73,7 +73,7 @@ class TestPotentialAndMass:
 
     def test_coercivity_along_rays(self):
         ctx = WickContext.create(3, 1.0, 1)
-        u = half(random_field(3, 6))
+        u = half_from_full(random_field(3, 6))
         vals = wick_potential_values(np.stack([u * t for t in (1.0, 2.0, 4.0, 8.0)]),
                                      ctx)
         assert vals[-1] > vals[-2] > vals[-3]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wicknlw import (
-    SpectralField,
     WickContext,
     engine,
     grid_from_half,
@@ -19,7 +18,7 @@ from wicknlw import (
     wick_power,
 )
 from wicknlw.fields import full_from_half
-from conftest import half, random_field, zeros_half
+from conftest import half_from_full, half_modes, random_field, zeros_half
 
 
 def zero_mode_only(spectrum: np.ndarray, value: float) -> np.ndarray:
@@ -142,7 +141,7 @@ class TestWickPower:
 
     def test_constant_field_degree_two(self):
         sigma, c = point_variance(2, 1.0), 1.7
-        got = wick_power(half(SpectralField.from_modes(2, {(0, 0): c})), 2, sigma)
+        got = wick_power(half_modes(2, {(0, 0): c}), 2, sigma)
         np.testing.assert_allclose(got, zero_mode_only(got, c * c - sigma),
                                    rtol=0, atol=1e-12 * sigma)
 
@@ -159,13 +158,13 @@ class TestWickPower:
     def test_output_cutoff_is_k_n(self, k):
         # the complete spectrum of a degree-k power of a cutoff-8 field,
         # with the batch axes carried through
-        u = np.stack([half(random_field(8, 1)), half(random_field(8, 2))])
+        u = np.stack([half_from_full(random_field(8, 1)), half_from_full(random_field(8, 2))])
         assert wick_power(u, k, 1.0).shape == (2, 16 * k + 1, 8 * k + 1)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_force_degree_matches_engine_force(self, m):
         ctx = WickContext.create(4, 1.0, m)
-        u = half(random_field(4, 9))
+        u = half_from_full(random_field(4, 9))
         got = project(wick_power(u, 2 * m + 1, ctx.sigma), 4)
         want = engine.wick_force(u, ctx)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -180,10 +179,10 @@ class TestWickSpectrum:
         n = 2
         f = random_field(n, 33)
         sig = point_variance(n, 1.0)
-        got = full_from_half(wick_power(half(f)[None], 3, sig))[0]
-        conv3 = convolve2d(convolve2d(f.coeffs, f.coeffs), f.coeffs)
+        got = full_from_half(wick_power(half_from_full(f)[None], 3, sig))[0]
+        conv3 = convolve2d(convolve2d(f, f), f)
         lo = 3 * n - n
-        conv3[lo : lo + 2 * n + 1, lo : lo + 2 * n + 1] -= 3.0 * sig * f.coeffs
+        conv3[lo : lo + 2 * n + 1, lo : lo + 2 * n + 1] -= 3.0 * sig * f
         scale = np.max(np.abs(conv3))
         assert np.max(np.abs(got - conv3)) < 1e-12 * scale
 
@@ -191,7 +190,7 @@ class TestWickSpectrum:
 class TestWickBinomial:
     def test_w_zero_reduces_to_wick_power(self):
         sigma = point_variance(3, 1.0)
-        z = half(random_field(3, 4))
+        z = half_from_full(random_field(3, 4))
         got = wick_binomial(z, zeros_half(3), 3, sigma)
         want = wick_power(z, 3, sigma)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -199,7 +198,7 @@ class TestWickBinomial:
     def test_z_zero_gives_wick_constants(self):
         # H_l(0) kills odd l; even l contributes binomial * Hermite constant
         sigma = point_variance(3, 1.0)
-        w = half(random_field(3, 5))
+        w = half_from_full(random_field(3, 5))
         got = wick_binomial(zeros_half(3), w, 3, sigma)
         wg = grid_from_half(w, 2 * 3 * 3 + 1)
         want = half_from_grid(wg**3 + 3 * (-sigma) * wg, 9)  # C(3,2) H_2(0) w
@@ -208,8 +207,8 @@ class TestWickBinomial:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_wick_power_of_sum(self, k):
         sigma = point_variance(4, 1.0)
-        z = np.stack([half(random_field(4, 6 + 10 * i)) for i in range(3)])
-        w = np.stack([half(random_field(4, 7 + 10 * i)) for i in range(3)])
+        z = np.stack([half_from_full(random_field(4, 6 + 10 * i)) for i in range(3)])
+        w = np.stack([half_from_full(random_field(4, 7 + 10 * i)) for i in range(3)])
         got = wick_binomial(z, w, k, sigma)
         want = wick_power(z + w, k, sigma)
         assert got.shape == want.shape == (3, 8 * k + 1, 4 * k + 1)
