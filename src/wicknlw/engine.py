@@ -12,11 +12,12 @@ Nonlinear terms are evaluated pointwise on the context grid
 of the degree-(2m+1) force are exact, and the grid mean of the
 degree-(2m+2) potential is exact on it as well.
 
-The force, the potential and the Strang segments take an optional
-workspace ``work``, a caller-owned dict of scratch buffers
-(``fields._scratch``); a force hook owns the workspace it was built with.
-A run that keeps its workspaces allocates nothing per step, so its page
-faults follow the work, not glibc's heap trimming.
+The force, the potential, the free rotation and the Strang segments take
+an optional workspace ``work``, a caller-owned dict of scratch buffers
+(``fields._scratch``) that grow by element count, so one dict serves
+every block size and cutoff; a force hook owns the workspace it was built
+with.  A run that keeps its workspaces allocates nothing per step, so its
+page faults follow the work, not glibc's heap trimming.
 """
 
 from __future__ import annotations
@@ -57,12 +58,21 @@ def half_geometry(n_max: int, rho: float):
     return ball_h, lam_h, lam2_h, half_weights(n_max)
 
 
-def rotate(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
-           t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact free Klein-Gordon flow by time t, mode by mode."""
+def rotate(u: np.ndarray, v: np.ndarray, n_max: int, rho: float, t: float,
+           work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact free Klein-Gordon flow by time t, mode by mode.
+
+    With a workspace ``work`` the results are its buffers ``rotate_u`` and
+    ``rotate_v``; without one they are fresh arrays.
+    """
     _, lam, _, _ = half_geometry(n_max, rho)
     c, s = np.cos(t * lam), np.sin(t * lam)
-    return c * u + (s / lam) * v, -lam * s * u + c * v
+    tmp = _scratch(work, "rotate_tmp", u.shape, complex)
+    new_u = np.multiply(c, u, out=_scratch(work, "rotate_u", u.shape, complex))
+    new_u += np.multiply(s / lam, v, out=tmp)
+    new_v = np.multiply(-lam * s, u, out=_scratch(work, "rotate_v", u.shape, complex))
+    new_v += np.multiply(c, v, out=tmp)
+    return new_u, new_v
 
 
 def wick_force(u: np.ndarray, ctx: WickContext,

@@ -202,14 +202,18 @@ class ChaosReport:
         return dict(self.__dict__)
 
 
+def _subtract_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a -= b in place in half layout, b's smaller cutoff zero-padded to a's."""
+    n_a, n_b = (a.shape[-2] - 1) // 2, (b.shape[-2] - 1) // 2
+    a[..., n_a - n_b : n_a + n_b + 1, : n_b + 1] -= b
+    return a
+
+
 def _half_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a - b in half layout, the smaller cutoff zero-padded to the larger."""
     if a.shape[-2] < b.shape[-2]:
         return -_half_difference(b, a)
-    n_a, n_b = (a.shape[-2] - 1) // 2, (b.shape[-2] - 1) // 2
-    out = a.copy()
-    out[..., n_a - n_b : n_a + n_b + 1, : n_b + 1] -= b
-    return out
+    return _subtract_padded(a.copy(), b)
 
 
 # bench/tracer.py wraps the study's former name for wick.wick_power; it
@@ -252,6 +256,10 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         # a repeated cutoff would feed every sample to its accumulators twice
         raise ValueError(f"cutoff list {list(n_list)} must be strictly increasing")
+    if cauchy and 0 in n_list:
+        # 2 * 0 = 0: d(0) would compare the cutoff-0 power with itself
+        raise ValueError("cutoff 0 is its own double, so d(0) would compare it "
+                         "with itself; drop it or turn cauchy off")
     n_hi = 2 * max(n_list) if cauchy else max(n_list)
     params = MuParams(n_hi, rho, seed)
     cuts = sorted({*n_list, *(2 * n for n in n_list)} if cauchy else set(n_list))
@@ -260,37 +268,37 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
     m_big = max(alias_free_grid(c, 2 * ell_max - 1) for c in cuts)
     block = _block_size(m_big * m_big)
 
+    # one workspace for the whole study: each spectrum is the workspace's
+    # `half` buffer, read at once; a cutoff whose 2N partner is still to
+    # come keeps a copy, and d(N) is taken in place in the 2N spectrum
+    work = {}
     acc_sq = {}    # (ell, n_cut, mode) -> list of |c|^2 block arrays
     acc_cross = {}
     acc_d = {}
     for lo in range(0, n_samples, block):
         hi = min(lo + block, n_samples)
-        u0, v0 = sample_pair_half(params, hi - lo, start_index=lo)
-        z_t, _ = engine.rotate(u0, v0, n_hi, rho, t_eval)
-        spectra = {}
+        u0, v0 = sample_pair_half(params, hi - lo, lo, work)
+        z_t, _ = engine.rotate(u0, v0, n_hi, rho, t_eval, work)
+        kept = {}  # (ell, 2N) -> copy of the cutoff-N spectrum
         for n_cut in cuts:
             z_n = project(z_t, n_cut)
             for ell in range(1, ell_max + 1):
-                spectra[(ell, n_cut)] = wick_power(z_n, ell, sig[n_cut])
-        for n_cut in n_list:
-            for ell in range(1, ell_max + 1):
-                sp = spectra[(ell, n_cut)]
-                coeffs = {mo: _mode_coeff(sp, ell * n_cut, mo)
-                          for mo in CHAOS_MODES}
-                for mo in CHAOS_MODES:
-                    acc_sq.setdefault((ell, n_cut, mo), []).append(
-                        np.abs(coeffs[mo]) ** 2)
-                for mo_a, mo_b in combinations(CHAOS_MODES, 2):
-                    acc_cross.setdefault((ell, n_cut, mo_a, mo_b), []).append(
-                        coeffs[mo_a] * np.conj(coeffs[mo_b]))
-                if cauchy:
-                    # sp2 keeps the block's largest spectrum alive past the
-                    # next `spectra = {}`, so glibc does not trim the heap;
-                    # without it this loop faults pages in about 3.5x as often
-                    sp2 = spectra[(ell, 2 * n_cut)]
-                    diff = _half_difference(sp2, sp)
-                    acc_d.setdefault((ell, n_cut), []).append(
-                        sobolev_norm(diff, -eps_reg))
+                sp = wick_power(z_n, ell, sig[n_cut], work)
+                if n_cut in n_list:
+                    coeffs = {mo: _mode_coeff(sp, ell * n_cut, mo)
+                              for mo in CHAOS_MODES}
+                    for mo in CHAOS_MODES:
+                        acc_sq.setdefault((ell, n_cut, mo), []).append(
+                            np.abs(coeffs[mo]) ** 2)
+                    for mo_a, mo_b in combinations(CHAOS_MODES, 2):
+                        acc_cross.setdefault((ell, n_cut, mo_a, mo_b), []).append(
+                            coeffs[mo_a] * np.conj(coeffs[mo_b]))
+                    if cauchy:
+                        kept[(ell, 2 * n_cut)] = sp.copy()
+                small = kept.pop((ell, n_cut), None)
+                if small is not None:
+                    acc_d.setdefault((ell, n_cut // 2), []).append(sobolev_norm(
+                        _subtract_padded(sp, small), -eps_reg, work))
     moment_rows = []
     for (ell, n_cut, mo), chunks in acc_sq.items():
         vals = np.concatenate(chunks)

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -129,19 +130,25 @@ def _scratch(work: dict | None, name: str, shape: tuple,
     None without a workspace, so an ``out=`` argument falls back to a fresh
     array.
 
-    The buffer is made on first use and remade only when a call needs more
-    leading rows, another trailing shape or dtype; a call with fewer rows
-    gets a leading-row view, so the short last block of a blocked loop
-    reuses the full blocks' memory.  A kernel given a workspace returns one
-    of its buffers, which the next call with the same workspace overwrites.
+    The buffer is made on first use and remade, at ``shape``, only when a
+    call needs more elements or another dtype.  A call of another shape
+    that fits gets a view of the buffer's leading elements, so the short
+    last block of a blocked loop reuses the full blocks' memory (as its
+    leading rows), and a loop over cutoffs and degrees keeps one buffer
+    per name, sized by its largest call.  A kernel given a workspace
+    returns one of its buffers, which the next call with the same
+    workspace overwrites.
     """
     if work is None:
         return None
     buf = work.get(name)
-    if (buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:]
-            or buf.shape[:1] < shape[:1]):
+    if buf is not None and buf.shape == shape and buf.dtype == dtype:
+        return buf
+    size = math.prod(shape)
+    if buf is None or buf.dtype != dtype or buf.size < size:
         buf = work[name] = np.empty(shape, dtype)
-    return buf if buf.shape == shape else buf[: shape[0]]
+        return buf
+    return buf.reshape(-1)[:size].reshape(shape)
 
 
 def grid_from_half(half: np.ndarray, m_grid: int,
@@ -213,9 +220,15 @@ def project(half: np.ndarray, n_cut: int) -> np.ndarray:
     return out
 
 
-def sobolev_norm(half: np.ndarray, s: float) -> np.ndarray:
-    """Batched H^s norm (sum <n>^{2s} |c_n|^2)^{1/2}, <n> = sqrt(1 + |n|^2)."""
+def sobolev_norm(half: np.ndarray, s: float,
+                 work: dict | None = None) -> np.ndarray:
+    """Batched H^s norm (sum <n>^{2s} |c_n|^2)^{1/2}, <n> = sqrt(1 + |n|^2).
+
+    With a workspace ``work`` the weighted |c_n|^2 are its buffer ``norm``.
+    """
     n_max = (half.shape[-2] - 1) // 2
     bracket = (1.0 + mode_norms_sq(n_max)[:, n_max:]) ** s
-    return np.sqrt(np.sum(half_weights(n_max) * bracket * np.abs(half) ** 2,
-                          axis=(-2, -1)))
+    sq = np.abs(half, out=_scratch(work, "norm", half.shape))
+    np.square(sq, out=sq)
+    sq *= half_weights(n_max) * bracket
+    return np.sqrt(np.sum(sq, axis=(-2, -1)))

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import ball_mask, mode_norms_sq
+from .fields import _scratch, ball_mask, mode_norms_sq
 
 __all__ = [
     "MuParams",
@@ -112,13 +112,16 @@ def _free_halves(rngs: list[np.random.Generator], params: MuParams,
     return halves
 
 
-def sample_pair_half(params: MuParams, n_samples: int,
-                     start_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def sample_pair_half(params: MuParams, n_samples: int, start_index: int = 0,
+                     work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Batched samples in half-spectrum layout (columns n2 >= 0), as
-    contiguous (n_samples, K, N+1) arrays."""
+    contiguous (n_samples, K, N+1) arrays: the buffers ``sample_u`` and
+    ``sample_v`` of a workspace ``work``, else fresh arrays."""
     k = 2 * params.n_max + 1
-    u = np.empty((n_samples, k, params.n_max + 1), dtype=complex)
-    v = np.empty_like(u)
+    if work is None:
+        work = {}
+    u = _scratch(work, "sample_u", (n_samples, k, params.n_max + 1), complex)
+    v = _scratch(work, "sample_v", u.shape, complex)
     step = _block_size(4 * k * k)
     for lo in range(0, n_samples, step):
         hi = min(lo + step, n_samples)

@@ -139,16 +139,19 @@ def _spectrum_grid(z: np.ndarray, k: int) -> tuple[int, int]:
     return n_cut, alias_free_grid(n_cut, 2 * k - 1)
 
 
-def wick_power(z: np.ndarray, k: int, sigma: float) -> np.ndarray:
+def wick_power(z: np.ndarray, k: int, sigma: float,
+               work: dict | None = None) -> np.ndarray:
     """Complete spectrum of H_k(z; sigma) for half-layout z, batched.
 
     The result has cutoff kN, the full support of the power of a cutoff-N
     field, and is computed on the grid M = 2kN + 1 (at least 4), on which
-    every one of its modes is exact.
+    every one of its modes is exact.  With a workspace ``work`` the grids
+    and the result are its buffers (the result is ``half``, overwritten by
+    the next call); without one they are fresh arrays.
     """
     n_cut, m_grid = _spectrum_grid(z, k)
-    g = grid_from_half(z, m_grid)
-    return half_from_grid(hermite_values(k, g, sigma), k * n_cut)
+    g = grid_from_half(z, m_grid, work)
+    return half_from_grid(hermite_values(k, g, sigma, work), k * n_cut, work)
 
 
 def wick_binomial(z: np.ndarray, w: np.ndarray, k: int,

@@ -324,13 +324,16 @@ class TestDispatch:
         (["invariance", "--z-threshold=-inf"], "z_threshold must be finite"),
         (["chaos", "--n-list", "4,4"],
          "cutoff list [4, 4] must be strictly increasing"),
+        (["chaos", "--n-list", "0,1"],
+         "cutoff 0 is its own double, so d(0) would compare it with itself; "
+         "drop it or turn cauchy off"),
         (["evolve", "--n", "8", "--T", "1000", "--dt", "1e-3",
           "--record-every", "1"],
          "T / dt / record_every = 1000 / 0.001 / 1 keeps 1e+06 records, "
          "4669 MiB of states, above the budget of 1024 MiB; raise "
          "record_every or dt, or lower T"),
     ], ids=["rho_nan", "T_inf", "z_threshold_minus_inf", "n_list_repeated",
-            "record_budget"])
+            "n_list_zero_with_cauchy", "record_budget"])
     def test_rejected_setting_is_named(self, tmp_path, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
         record = json.loads((tmp_path / argv[0] / "error.json").read_text())

@@ -16,8 +16,10 @@ from conftest import half_from_full, random_field
 from wicknlw import NONLINEARITIES, DynParams, MuParams, WickContext, engine
 from wicknlw.dynamics import wick_kick
 from wicknlw.experiments import scaled_force_fn
-from wicknlw.fields import ball_mask, grid_from_half, half_from_grid
+from wicknlw.fields import (_scratch, ball_mask, grid_from_half, half_from_grid,
+                            sobolev_norm)
 from wicknlw.free_field import sample_pair_half
+from wicknlw.wick import wick_power
 
 N, RHO = 3, 1.0
 RTOL = 1e-10
@@ -265,3 +267,36 @@ def test_short_blocks_reuse_the_full_blocks_buffers(monkeypatch):
         engine.run_steps_blocked(u[:rows], v[:rows], ctx, 1e-3, 2, kick, work)
         engine.wick_potential_values(u[:rows], ctx, work)
         assert all(work[k] is b for k, b in buffers.items())
+
+
+def test_workspace_buffer_serves_every_shape_that_fits():
+    # a large shape, a smaller one with other trailing axes, the large one
+    # again: all three are views of the one allocation made first
+    work = {}
+    big = _scratch(work, "grid", (4, 9, 9))
+    small = _scratch(work, "grid", (3, 5, 7))
+    assert small.shape == (3, 5, 7) and np.shares_memory(small, big)
+    assert work["grid"] is big
+    assert _scratch(work, "grid", (4, 9, 9)) is big
+    # more elements or another dtype make a new buffer
+    assert not np.shares_memory(_scratch(work, "grid", (5, 9, 9)), big)
+    assert _scratch(work, "grid", (2, 3), complex).dtype == complex
+
+
+def test_workspace_names_never_share_memory():
+    # the buffers that a Wick power (grid 49 at N = 8, degree 3), a force
+    # (grid 33), a Strang segment and the chaos study's sampling, rotation
+    # and norm leave in one workspace are pairwise disjoint
+    ctx = WickContext.create(8, RHO, 1)
+    work = {}
+    u, v = sample_pair_half(MuParams(8, RHO, seed=12), 5, 0, work)
+    z, _ = engine.rotate(u, v, 8, RHO, 0.3, work)
+    sobolev_norm(wick_power(z, 3, ctx.sigma, work), -0.25, work)
+    engine.wick_force(u, ctx, work)
+    engine.run_steps(u, v, 8, RHO, 1e-3, 2, wick_kick(DynParams(ctx, 1e-3), work),
+                     work)
+    buffers = [(k, b) for k, b in work.items() if isinstance(b, np.ndarray)]
+    assert {"sample_u", "rotate_u", "half", "norm", "step_u"} <= dict(buffers).keys()
+    for i, (name_a, a) in enumerate(buffers):
+        for name_b, b in buffers[i + 1:]:
+            assert not np.shares_memory(a, b), (name_a, name_b)

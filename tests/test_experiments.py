@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from wicknlw import (
 )
 from wicknlw import engine, experiments, free_field
 from wicknlw.experiments import (
+    CHAOS_MODES,
     DEFAULT_OBSERVABLES,
     observable_matrix,
     scaled_force_fn,
@@ -36,7 +38,7 @@ from wicknlw.dynamics import record_count, records
 from wicknlw.fields import alias_free_grid, project, sobolev_norm
 from wicknlw.free_field import sample_free_field, sample_pair_half
 from wicknlw.gibbs import ChainOptions
-from wicknlw.wick import hermite_values
+from wicknlw.wick import hermite_values, wick_power
 
 
 class TestObservables:
@@ -151,6 +153,55 @@ class TestChaosStudy:
         rep = chaos_convergence_study(2, [2], 1.0, 0.3, 0.25, 500, seed=12)
         assert {(r["ell"], r["n_max"]) for r in rep.cauchy_rows} == {(1, 2), (2, 2)}
         assert all(r["distance"] > 0 for r in rep.cauchy_rows)
+
+    def test_cutoff_zero_needs_cauchy_off(self):
+        # 2 * 0 = 0, so d(0) would be a cutoff compared with itself
+        with pytest.raises(ValueError, match="cutoff 0 is its own double"):
+            chaos_convergence_study(2, [0, 1], 1.0, 0.3, 0.25, 20, seed=12)
+        rep = chaos_convergence_study(2, [0, 1], 1.0, 0.3, 0.25, 20, seed=12,
+                                      cauchy=False)
+        assert {r["n_max"] for r in rep.moment_rows} == {0, 1}
+        assert rep.cauchy_rows == []
+
+    def test_rows_equal_a_fresh_wick_power_reference(self, monkeypatch):
+        # blocks of 3 over 8 samples end in a short block, and cutoff 2 is
+        # both a cutoff and the double of 1, so the Cauchy pairs chain;
+        # the reference draws all samples at once and makes every power
+        # with a fresh wick_power call
+        ell_max, n_list, rho, t, eps, n = 3, [1, 2, 4], 1.0, 0.3, 0.25, 8
+        monkeypatch.setattr(experiments, "_block_size", lambda values: 3)
+        rep = chaos_convergence_study(ell_max, n_list, rho, t, eps, n, seed=5)
+
+        u0, v0 = sample_pair_half(MuParams(8, rho, 5), n)
+        z = engine.rotate(u0, v0, 8, rho, t)[0]
+
+        def power(ell, n_cut):
+            return wick_power(project(z, n_cut), ell, point_variance(n_cut, rho))
+
+        def mean_se(vals):
+            return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+
+        moments, cross, cauchy = [], [], []
+        for n_cut in n_list:
+            for ell in range(1, ell_max + 1):
+                sp = power(ell, n_cut)
+                c = {mo: experiments._mode_coeff(sp, ell * n_cut, mo)
+                     for mo in CHAOS_MODES}
+                moments += [(ell, n_cut, list(mo), *mean_se(np.abs(c[mo]) ** 2))
+                            for mo in CHAOS_MODES]
+                for a, b in combinations(CHAOS_MODES, 2):
+                    prod = c[a] * np.conj(c[b])
+                    cross.append((ell, n_cut, list(a), list(b),
+                                  *mean_se(prod.real), *mean_se(prod.imag)))
+                diff = experiments._half_difference(power(ell, 2 * n_cut), sp)
+                cauchy.append((ell, n_cut, *mean_se(sobolev_norm(diff, -eps))))
+        assert [(r["ell"], r["n_max"], r["mode"], r["mc_estimate"], r["stderr"])
+                for r in rep.moment_rows] == moments
+        assert [(r["ell"], r["n_max"], r["mode_a"], r["mode_b"], r["mean_real"],
+                 r["stderr_real"], r["mean_imag"], r["stderr_imag"])
+                for r in rep.cross_rows] == cross
+        assert [(r["ell"], r["n_max"], r["distance"], r["stderr"])
+                for r in rep.cauchy_rows] == cauchy
 
 
 class TestHermiteMoments:
@@ -294,9 +345,9 @@ class TestBlockInvariance:
     def _spy_blocks(monkeypatch):
         sizes = []
 
-        def spy(params, n, start_index=0):
+        def spy(params, n, start_index=0, work=None):
             sizes.append(n)
-            return sample_pair_half(params, n, start_index)
+            return sample_pair_half(params, n, start_index, work)
 
         monkeypatch.setattr(experiments, "sample_pair_half", spy)
         return sizes
@@ -368,6 +419,29 @@ class TestBoundedMemory:
                              check=True)
         growth_mb = float(out.stdout.split()[-1])
         assert growth_mb <= 100.0, f"peak RSS grew by {growth_mb:.0f} MB"
+
+    def test_chaos_page_faults_follow_the_work(self):
+        # the samples, spectra and norms of every block live in one
+        # workspace: 5.7k or 15k minor faults here, by heap layout, against
+        # 44k-54k when each block allocated its spectra afresh and glibc
+        # trimmed and refaulted the heap top
+        script = (
+            "import resource\n"
+            "from wicknlw import chaos_convergence_study\n"
+            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "chaos_convergence_study(3, [1, 4, 8], 1.0, 0.3, 0.25, 2048, seed=1)\n"
+            "f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(f1 - f0)\n"
+        )
+        src = str(Path(wicknlw.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=600,
+                             check=True)
+        faults = int(out.stdout.split()[-1])
+        assert faults <= 25000, f"{faults} minor page faults"
 
 
     def test_universality_peak_holds_one_reference_stack(self):

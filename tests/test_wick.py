@@ -161,6 +161,19 @@ class TestWickPower:
         u = np.stack([half_from_full(random_field(8, 1)), half_from_full(random_field(8, 2))])
         assert wick_power(u, k, 1.0).shape == (2, 16 * k + 1, 8 * k + 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_workspace_is_bit_equal_to_fresh_calls(self, k):
+        # one workspace across cutoffs 8 -> 2 -> 8: the cutoff-2 call runs
+        # on views of the cutoff-8 buffers, and the last call reuses them
+        work = {}
+        for n_cut, seed in ((8, 3), (2, 4), (8, 5)):
+            z = np.stack([half_from_full(random_field(n_cut, seed + j))
+                          for j in range(3)])
+            sigma = point_variance(n_cut, 1.0)
+            got = wick_power(z, k, sigma, work)
+            np.testing.assert_array_equal(got, wick_power(z, k, sigma))
+            assert np.shares_memory(got, work["half"])
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_force_degree_matches_engine_force(self, m):
         ctx = WickContext.create(4, 1.0, m)
