@@ -327,8 +327,7 @@ def _chain_opts(cfg: RunConfig) -> ChainOptions:
 
 def _run_gibbs(cfg: RunConfig, outdir: Path) -> int:
     ctx = WickContext.create(cfg.n, cfg.rho, cfg.m)
-    params = MuParams(cfg.n, cfg.rho, cfg.seed)
-    u, v, pots, diag = sample_gibbs_arrays(params, ctx, cfg.samples, cfg.method,
+    u, v, pots, diag = sample_gibbs_arrays(ctx, cfg.seed, cfg.samples, cfg.method,
                                            _chain_opts(cfg))
     obs = observable_matrix(u, v, ctx)
     # columns as in DEFAULT_OBSERVABLES: mass, potential, three modes, energy

@@ -11,10 +11,10 @@ exactly solvable: the linear part rotates each mode, the kick changes only
 v.  Their Strang composition is symplectic, time-reversible and second
 order, which is what makes the Gibbs-invariance experiments meaningful.
 
-:func:`records` is the one stepping loop: it yields a run's records one at
-a time, on one workspace for the whole run (see :mod:`wicknlw.engine`).
-:func:`evolve` stacks them into a :class:`Trajectory`; the universality
-ladder consumes them as they come and keeps no stack but its reference's.
+:func:`records` steps one run on one workspace (see :mod:`wicknlw.engine`)
+and yields its records one at a time; :func:`evolve` stacks them, the
+universality ladder streams them.  Batches that count or reject failed
+rows (``invariance_test``, HMC) step through ``engine.run_steps_blocked``.
 """
 
 from __future__ import annotations

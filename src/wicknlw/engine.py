@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (_scratch, ball_mask, grid_from_half, half_from_grid,
-                     half_weights, mode_norms_sq)
+from .fields import (_scratch, grid_from_half, half_from_grid, half_weights,
+                     mode_norms_sq)
 from .free_field import _block_size
 from .wick import WickContext, hermite_values
 
@@ -48,30 +48,40 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def half_geometry(n_max: int, rho: float):
-    """(ball mask, <n>_rho, <n>_rho^2, ``half_weights``) in half layout."""
+    """(<n>_rho, <n>_rho^2, ``half_weights``) in half layout."""
     lam2 = rho + mode_norms_sq(n_max)
     lam2_h = lam2[:, n_max:]
     lam_h = np.sqrt(lam2_h)
-    ball_h = ball_mask(n_max)[:, n_max:]
     for a in (lam2_h, lam_h):
         a.setflags(write=False)
-    return ball_h, lam_h, lam2_h, half_weights(n_max)
+    return lam_h, lam2_h, half_weights(n_max)
+
+
+# bounded: a run meets one step and its remainder per cutoff
+@lru_cache(maxsize=32)
+def _rotation(n_max: int, rho: float, t: float):
+    """Read-only (cos t<n>, sin t<n> / <n>, sin t<n> <n>) in half layout."""
+    lam, _, _ = half_geometry(n_max, rho)
+    c, s = np.cos(t * lam), np.sin(t * lam)
+    table = (c, s / lam, s * lam)
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def rotate(u: np.ndarray, v: np.ndarray, n_max: int, rho: float, t: float,
            work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact free Klein-Gordon flow by time t, mode by mode.
+    """Exact free Klein-Gordon flow by time t: a ``run_steps`` step, no kicks.
 
     With a workspace ``work`` the results are its buffers ``rotate_u`` and
     ``rotate_v``; without one they are fresh arrays.
     """
-    _, lam, _, _ = half_geometry(n_max, rho)
-    c, s = np.cos(t * lam), np.sin(t * lam)
+    c, s_over, s_lam = _rotation(n_max, rho, t)
     tmp = _scratch(work, "rotate_tmp", u.shape, complex)
     new_u = np.multiply(c, u, out=_scratch(work, "rotate_u", u.shape, complex))
-    new_u += np.multiply(s / lam, v, out=tmp)
-    new_v = np.multiply(-lam * s, u, out=_scratch(work, "rotate_v", u.shape, complex))
-    new_v += np.multiply(c, v, out=tmp)
+    new_u += np.multiply(s_over, v, out=tmp)
+    new_v = np.multiply(c, v, out=_scratch(work, "rotate_v", u.shape, complex))
+    new_v -= np.multiply(s_lam, u, out=tmp)
     return new_u, new_v
 
 
@@ -109,23 +119,15 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     ``force(u) -> array`` is the full nonlinear contribution to dv/dt; it
     may return a buffer of its own workspace, which is read before the
     next call.  ``work`` is the caller's dict of scratch buffers, kept
-    across calls so that the step buffers and the rotation are made once
-    per run; without one, this call makes its own.  With a force that
-    keeps its grids in a workspace (``dynamics.wick_kick``,
-    ``experiments.scaled_force_fn``) no step allocates.  Inputs are not
-    modified and the results are fresh arrays.
+    across calls so that the step buffers are made once per run; without
+    one they are fresh arrays.  The rotation by dt is the cached
+    ``_rotation`` table.  With a force that keeps its grids in a workspace
+    (``dynamics.wick_kick``, ``experiments.scaled_force_fn``) no step
+    allocates.  Inputs are not modified and the results are fresh arrays.
     """
     if n_steps < 1:
         return u, v
-    if work is None:
-        work = {}
-    # the rotation by dt, remade only when the step size changes
-    key = (n_max, rho, dt)
-    if work.get("rotation_key") != key:
-        _, lam, _, _ = half_geometry(n_max, rho)
-        c, s = np.cos(dt * lam), np.sin(dt * lam)
-        work["rotation_key"], work["rotation"] = key, (c, s / lam, s * lam)
-    c, s_over, s_lam = work["rotation"]
+    c, s_over, s_lam = _rotation(n_max, rho, dt)
 
     kick = np.multiply(force(u), 0.5 * dt)
     kick += v
@@ -157,12 +159,10 @@ def run_steps_blocked(u: np.ndarray, v: np.ndarray, ctx: WickContext,
                       dt: float, n_steps: int, force,
                       work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``run_steps`` on (rows, K, N+1) arrays in blocks of ``step_rows(ctx)``
-    rows, every block on one workspace (the caller's ``work``, else one
-    made for this call).  Rows are independent, so the result equals one
-    call on all rows.
+    rows, every block on the caller's workspace ``work`` (without one,
+    every block makes its own buffers).  Rows are independent, so the
+    result equals one call on all rows.
     """
-    if work is None:
-        work = {}
     u_out, v_out = np.empty_like(u), np.empty_like(v)
     block = step_rows(ctx)
     for lo in range(0, len(u), block):
@@ -180,7 +180,7 @@ def l2_norm_sq(u: np.ndarray, n_max: int) -> np.ndarray:
 def quadratic_energy_values(u: np.ndarray, v: np.ndarray, n_max: int,
                             rho: float) -> np.ndarray:
     """(1/2) sum <n>_rho^2 |u_n|^2 + (1/2) sum |v_n|^2, batched."""
-    _, _, lam2, colw = half_geometry(n_max, rho)
+    _, lam2, colw = half_geometry(n_max, rho)
     return 0.5 * np.sum(colw * (lam2 * np.abs(u) ** 2 + np.abs(v) ** 2),
                         axis=(-2, -1))
 

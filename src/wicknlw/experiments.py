@@ -144,8 +144,7 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
         raise ValueError("invariance testing needs an unweighted sampler "
                          "(metropolis or hmc)")
     ctx = dyn.ctx
-    params = MuParams(ctx.n_max, ctx.rho, seed)
-    u, v, _, diag = sample_gibbs_arrays(params, ctx, n_samples, method, opts)
+    u, v, _, diag = sample_gibbs_arrays(ctx, seed, n_samples, method, opts)
 
     # H = quadratic_energy + wick_potential, as in engine.hamiltonian_values
     obs0 = observable_matrix(u, v, ctx)
@@ -438,12 +437,28 @@ def counterterm_mass(f: Nonlinearity, eps: float, rho: float) -> float:
     return f.d1 + eps * eps * rho + eps * eps * sigma_eps * f.d3 / 2.0
 
 
+def _linear_coeff(f: Nonlinearity, eps: float, rho: float) -> float:
+    """The coefficient (eps^2 rho - rho_eps) / eps^2 of u in the rescaled forcing."""
+    return (eps * eps * rho - counterterm_mass(f, eps, rho)) / (eps * eps)
+
+
+def _forcing(f: Nonlinearity, eps: float, lin: float, g: np.ndarray,
+             work: dict | None) -> np.ndarray:
+    """eps^{-3} f(eps g) + lin * g in place over the float grid g: a ufunc f
+    (np.sin) writes over eps g, buffer ``scaled``; other maps return new arrays."""
+    x = np.multiply(g, eps, out=_scratch(work, "scaled", g.shape))
+    vals = f.fn(x, out=x) if isinstance(f.fn, np.ufunc) else f.fn(x)
+    vals *= eps ** -3
+    g *= lin
+    vals += g
+    return vals
+
+
 def scaled_forcing_grid(f: Nonlinearity, eps: float, rho: float,
                         values: np.ndarray) -> np.ndarray:
-    """Pointwise rescaled forcing eps^{-3} { f(eps u) + eps (eps^2 rho - rho_eps) u }."""
-    rho_e = counterterm_mass(f, eps, rho)
-    lin = (eps * eps * rho - rho_e) / (eps * eps)
-    return f.fn(eps * values) / eps ** 3 + lin * values
+    """Pointwise rescaled forcing eps^{-3} f(eps u) + lin u, as the hook computes it."""
+    return _forcing(f, eps, _linear_coeff(f, eps, rho),
+                    np.array(values, dtype=float), None)
 
 
 def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int,
@@ -457,20 +472,11 @@ def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int,
     same buffer on every call; without one it returns fresh arrays.
     """
     m_grid = alias_free_grid(n_cut, 4)
-    rho_e = counterterm_mass(f, eps, rho)
-    lin = (eps * eps * rho - rho_e) / (eps * eps)
-    inv3 = eps ** -3
+    lin = _linear_coeff(f, eps, rho)
 
     def force(u: np.ndarray) -> np.ndarray:
-        # inv3 * f(eps g) + lin * g in place, in that operation order; a
-        # ufunc f (np.sin) writes over eps g, other maps return a new array
         g = grid_from_half(u, m_grid, work)
-        x = np.multiply(g, eps, out=_scratch(work, "scaled", g.shape))
-        vals = f.fn(x, out=x) if isinstance(f.fn, np.ufunc) else f.fn(x)
-        vals *= inv3
-        g *= lin
-        vals += g
-        return half_from_grid(vals, n_cut, work)
+        return half_from_grid(_forcing(f, eps, lin, g, work), n_cut, work)
 
     return force
 
@@ -515,7 +521,7 @@ class UniversalityReport:
     dt: float
     seed: int
     n_ref: int
-    ref_refinement_distance: float
+    ref_refinement_distance: float | None
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -583,7 +589,8 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
                    + master[0].shape, dtype=complex)
     for i, u in enumerate(reference_us(n_ref)):
         ref[i] = u
-    ref_refine = _sup_distance(reference_us(max(n_ref // 2, 1)), ref, s)
+    ref_refine = (None if n_ref < 2 else  # cutoff 1 has no coarser reference
+                  _sup_distance(reference_us(n_ref // 2), ref, s))
 
     rows = []
     for eps in eps_arr:

@@ -125,10 +125,10 @@ def _dft_factors(n_max: int, m_grid: int):
 
 
 def _scratch(work: dict | None, name: str, shape: tuple,
-             dtype=float) -> np.ndarray | None:
+             dtype=float) -> np.ndarray:
     """Buffer ``name`` of the caller-owned workspace ``work``, of ``shape``;
-    None without a workspace, so an ``out=`` argument falls back to a fresh
-    array.
+    a fresh array without a workspace, so every kernel has one allocation
+    path.
 
     The buffer is made on first use and remade, at ``shape``, only when a
     call needs more elements or another dtype.  A call of another shape
@@ -140,7 +140,7 @@ def _scratch(work: dict | None, name: str, shape: tuple,
     workspace overwrites.
     """
     if work is None:
-        return None
+        return np.empty(shape, dtype)
     buf = work.get(name)
     if buf is not None and buf.shape == shape and buf.dtype == dtype:
         return buf

@@ -118,8 +118,6 @@ def sample_pair_half(params: MuParams, n_samples: int, start_index: int = 0,
     contiguous (n_samples, K, N+1) arrays: the buffers ``sample_u`` and
     ``sample_v`` of a workspace ``work``, else fresh arrays."""
     k = 2 * params.n_max + 1
-    if work is None:
-        work = {}
     u = _scratch(work, "sample_u", (n_samples, k, params.n_max + 1), complex)
     v = _scratch(work, "sample_v", u.shape, complex)
     step = _block_size(4 * k * k)

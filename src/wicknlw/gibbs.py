@@ -112,7 +112,8 @@ def _integrated_autocorr(series: np.ndarray) -> float:
 
 
 def _chain_layout(n_samples: int, opts: ChainOptions) -> tuple[int, int, int]:
-    """(chains, kept draws per chain, moves per chain) for n_samples draws."""
+    """(chains, kept draws per chain, moves per chain) for n_samples draws;
+    the moves outlast the burn-in, and every thin-th move after it keeps one."""
     n_chains = min(opts.n_chains, n_samples)
     per_chain = -(-n_samples // n_chains)  # ceil
     return n_chains, per_chain, opts.burn_in + opts.thin * per_chain
@@ -122,24 +123,25 @@ def _run_chains(params: MuParams, ctx: WickContext, n_samples: int,
                 opts: ChainOptions, propose):
     """Metropolis-Hastings driver shared by the chain samplers.
 
-    ``propose(move, cur, pot_cur, rngs) -> (prop, pot_prop, log_ratio)``
+    ``propose(move, cur, pot_cur, rngs, work) -> (prop, pot_prop, log_ratio)``
     draws the move's noise from each chain stream and returns the proposed
-    positions, their Wick potentials and the log acceptance ratios.  Each
-    chain stream then gives one uniform for the accept step, and one
-    velocity per kept draw.  Returns the kept (u, v), the potential series
-    (moves x chains) and the acceptance rate.
+    positions, their Wick potentials and the log acceptance ratios, on the
+    run's one workspace ``work``.  Each chain stream then gives one uniform
+    for the accept step, and one velocity per kept draw.  Returns the kept
+    (u, v, potentials), the potential series (moves x chains) and the rate.
     """
     n_chains, per_chain, moves = _chain_layout(n_samples, opts)
-    k = 2 * params.n_max + 1
-    keep_u = np.empty((n_chains, per_chain, k, params.n_max + 1), dtype=complex)
-    keep_v = np.empty_like(keep_u)
-    pot_series = np.empty((moves, n_chains))
     rngs = [rng_for_sample(params.seed, c) for c in range(n_chains)]
+    work: dict = {}
     cur = _free_halves(rngs, params, rows=2)[0]
-    pot_cur = engine.wick_potential_values(cur, ctx)
+    keep_u = np.empty((n_chains, per_chain) + cur.shape[1:], dtype=complex)
+    keep_v = np.empty_like(keep_u)
+    keep_pot = np.empty((n_chains, per_chain))
+    pot_series = np.empty((moves, n_chains))
+    pot_cur = engine.wick_potential_values(cur, ctx, work)
     accepted = 0
     for mv in range(moves):
-        prop, pot_prop, log_ratio = propose(mv, cur, pot_cur, rngs)
+        prop, pot_prop, log_ratio = propose(mv, cur, pot_cur, rngs, work)
         unif = np.array([r.uniform() for r in rngs])
         take = np.log(unif) < log_ratio
         cur[take] = prop[take]
@@ -149,10 +151,10 @@ def _run_chains(params: MuParams, ctx: WickContext, n_samples: int,
         lag = mv - opts.burn_in + 1
         if lag > 0 and lag % opts.thin == 0:
             idx = lag // opts.thin - 1
-            if idx < per_chain:
-                keep_u[:, idx] = cur
-                keep_v[:, idx] = _free_halves(rngs, params, first=2)[0]
-    return keep_u, keep_v, pot_series, accepted / (moves * n_chains)
+            keep_u[:, idx] = cur
+            keep_v[:, idx] = _free_halves(rngs, params, first=2)[0]
+            keep_pot[:, idx] = pot_cur
+    return keep_u, keep_v, keep_pot, pot_series, accepted / (moves * n_chains)
 
 
 def _blend_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions):
@@ -160,10 +162,10 @@ def _blend_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions):
     b = opts.blend
     mix = math.sqrt(1.0 - b * b)
 
-    def propose(mv, cur, pot_cur, rngs):
+    def propose(mv, cur, pot_cur, rngs, work):
         xi = _free_halves(rngs, params, rows=2)[0]
         prop = mix * cur + b * xi
-        pot_prop = engine.wick_potential_values(prop, ctx)
+        pot_prop = engine.wick_potential_values(prop, ctx, work)
         return prop, pot_prop, pot_cur - pot_prop
 
     return propose, {"method": "metropolis", "blend": b}
@@ -182,16 +184,14 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     sched = rng_for_sample(params.seed, (1 << 64) - 1)
     lengths = base_steps + sched.integers(-_JITTER, _JITTER + 1, size=moves)
     lengths = np.maximum(lengths, 1)
-    # the trajectories, their force and the potentials of every move share
-    # one workspace
-    work: dict = {}
-    force = wick_kick(DynParams(ctx, dt), work)
+    dyn = DynParams(ctx, dt)
 
-    def propose(mv, cur, pot_cur, rngs):
+    def propose(mv, cur, pot_cur, rngs, work):
+        # the trajectory, its force and the potentials share the workspace
         v = _free_halves(rngs, params, first=2)[0]
         h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
-        u_new, v_new = engine.run_steps_blocked(cur, v, ctx, dt,
-                                                int(lengths[mv]), force, work)
+        u_new, v_new = engine.run_steps_blocked(cur, v, ctx, dt, int(lengths[mv]),
+                                                wick_kick(dyn, work), work)
         pot_new = engine.wick_potential_values(u_new, ctx, work)
         h1 = engine.quadratic_energy_values(u_new, v_new, n_max, rho) + pot_new
         return u_new, pot_new, h0 - h1
@@ -199,18 +199,19 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     return propose, {"method": "hmc", "traj_dt": dt, "traj_steps": base_steps}
 
 
-def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
+def sample_gibbs_arrays(ctx: WickContext, seed: int, n_samples: int,
                         method: str = "hmc",
                         opts: ChainOptions | None = None):
     """Batched sampler returning half-spectrum arrays (u, v, potentials, diag).
 
-    The first ``n_samples`` kept draws are returned in chain-major order;
-    the diagnostics dictionary reports acceptance, split R-hat and an
-    integrated-autocorrelation-based effective sample size.
+    The first ``n_samples`` kept draws at the cutoff and mass of ``ctx``,
+    under ``seed``, in chain-major order; the diagnostics report acceptance,
+    split R-hat and an integrated-autocorrelation-based effective sample size.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     opts = opts or ChainOptions()
+    params = MuParams(ctx.n_max, ctx.rho, seed)
     if method == "importance":
         u, v = sample_pair_half(params, n_samples)
         pots = engine.wick_potential_values(u, ctx)
@@ -226,12 +227,11 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
         propose, diag = _hmc_proposal(params, ctx, opts, moves)
     else:
         raise ValueError(f"unknown sampler method {method!r}")
-    ku, kv, series, rate = _run_chains(params, ctx, n_samples, opts, propose)
+    *kept, series, rate = _run_chains(params, ctx, n_samples, opts, propose)
     diag.update({"acceptance_rate": rate, "n_chains": n_chains,
                  "moves_per_chain": moves})
-    u = ku.reshape(-1, *ku.shape[2:])[:n_samples]
-    v = kv.reshape(-1, *kv.shape[2:])[:n_samples]
-    post = series[opts.burn_in :] if series.shape[0] > opts.burn_in else series
+    u, v, pots = (a.reshape(-1, *a.shape[2:])[:n_samples] for a in kept)
+    post = series[opts.burn_in :]
     tau = _integrated_autocorr(post)
     ess = post.size / tau
     diag.update({
@@ -240,7 +240,6 @@ def sample_gibbs_arrays(params: MuParams, ctx: WickContext, n_samples: int,
         "ess": float(ess),
         "ess_degenerate": bool(ess < _ESS_FLOOR),
     })
-    pots = engine.wick_potential_values(u, ctx)
     return u, v, pots, diag
 
 

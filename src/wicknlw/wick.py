@@ -93,13 +93,9 @@ def hermite_values(k: int, x: np.ndarray, sigma: float,
     x = np.asarray(x, dtype=float)
     out = _scratch(work, "hermite", x.shape)
     if k == 0:
-        if out is None:
-            return np.ones_like(x)
         out.fill(1.0)
         return out
     if k == 1:
-        if out is None:
-            return x.copy()
         np.copyto(out, x)
         return out
     if k == 2:

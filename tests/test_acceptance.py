@@ -155,7 +155,7 @@ def test_criterion_05_cauchy_refinement_decay():
 @pytest.mark.slow
 def test_criterion_06_integrator_quality():
     ctx = w.WickContext.create(16, 1.0, 1)
-    u, v, _, _ = sample_gibbs_arrays(w.MuParams(16, 1.0, seed=606), ctx, 1,
+    u, v, _, _ = sample_gibbs_arrays(ctx, 606, 1,
                                      method="hmc",
                                      opts=ChainOptions(n_chains=1, burn_in=800,
                                                        thin=1))
@@ -181,13 +181,13 @@ def test_criterion_07_single_mode_gibbs_vs_quadrature():
     ctx = w.WickContext.create(0, rho, 1)
 
     u_m, _, _, diag_m = sample_gibbs_arrays(
-        w.MuParams(0, rho, seed=707), ctx, 100000, method="metropolis",
+        ctx, 707, 100000, method="metropolis",
         opts=ChainOptions(n_chains=20, burn_in=300, thin=2))
     mv = u_m[:, 0, 0].real ** 2
     z_m = (mv.mean() - oracle) / (mv.std(ddof=1) / math.sqrt(len(mv)))
 
     u_i, _, pots, diag_i = sample_gibbs_arrays(
-        w.MuParams(0, rho, seed=708), ctx, 100000, method="importance")
+        ctx, 708, 100000, method="importance")
     wgt = importance_weights(pots)
     iv = u_i[:, 0, 0].real ** 2
     im = float(np.sum(wgt * iv))
@@ -263,9 +263,9 @@ def test_criterion_10_determinism():
     ctx0 = w.WickContext.create(0, 1.0, 1)
     for method in ("metropolis", "importance", "hmc"):
         opts = ChainOptions(n_chains=4, burn_in=50, thin=2)
-        ua, va, pa, _ = sample_gibbs_arrays(w.MuParams(0, 1.0, 3), ctx0, 200,
+        ua, va, pa, _ = sample_gibbs_arrays(ctx0, 3, 200,
                                             method, opts)
-        ub, vb, pb, _ = sample_gibbs_arrays(w.MuParams(0, 1.0, 3), ctx0, 200,
+        ub, vb, pb, _ = sample_gibbs_arrays(ctx0, 3, 200,
                                             method, opts)
         ok &= (np.array_equal(ua, ub) and np.array_equal(va, vb)
                and np.array_equal(pa, pb))

@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from wicknlw import WickContext, cli, experiments
+import numpy as np
+
+from wicknlw import MuParams, WickContext, cli, engine, experiments
+from wicknlw.free_field import sample_pair_half
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -57,3 +60,28 @@ def test_scaled_force_names_and_probe_context():
     assert callable(experiments.scaled_forcing_grid)
     ctx = WickContext.create(8, 1.0, 1)
     assert (ctx.n_max, ctx.rho, ctx.m) == (8, 1.0, 1)
+
+
+def test_kernel_probe_calls_without_a_workspace():
+    # the probes' calls, with no workspace, at 4 rows and 3 steps: fresh
+    # results equal to the same calls on a workspace
+    ctx = WickContext.create(8, 1.0, 1)
+    u, v = sample_pair_half(MuParams(8, 1.0, seed=8), 4)
+    assert u.shape == v.shape == (4, 17, 9)
+    work = {}
+    np.testing.assert_array_equal(engine.wick_force(u, ctx),
+                                  engine.wick_force(u, ctx, work))
+    np.testing.assert_array_equal(engine.wick_potential_values(u, ctx),
+                                  engine.wick_potential_values(u, ctx, work))
+    kick = lambda x: -engine.wick_force(x, ctx)
+    got = engine.run_steps(u, v, 8, 1.0, 1e-3, 3, kick)
+    want = engine.run_steps(u, v, 8, 1.0, 1e-3, 3, kick, work)
+    for j in range(2):
+        np.testing.assert_array_equal(got[j], want[j])
+        assert np.isfinite(got[j]).all()
+
+
+def test_cubic_forcing_check_passes():
+    # the universality workload's check calls scaled_forcing_grid with
+    # four positional arguments, at a dyadic and a non-dyadic eps
+    assert _load("workloads").check_cubic_forcing([0.5, 0.3], 1.0, seed=29) == []

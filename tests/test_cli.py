@@ -263,6 +263,17 @@ class TestDispatch:
         assert len(rows) == 2
         assert code == EXIT_OK
 
+    def test_universality_reference_cutoff_one_reports_null(self, tmp_path):
+        # cutoff 1 has no coarser reference: the refinement distance is
+        # null, not the distance 0.0 of the reference to itself
+        code = main(["universality", "--eps-list", "1,0.75", "--T", "0.05",
+                     "--dt", "1e-2", "--seed", "3", "--out", str(tmp_path)])
+        report = json.loads(
+            (tmp_path / "universality" / "report.json").read_text())
+        assert code == EXIT_OK
+        assert report["report"]["n_ref"] == 1
+        assert report["report"]["ref_refinement_distance"] is None
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["gibbs", "--n", "1", "--samples", "30", "--method",
                 "metropolis", "--chains", "3", "--burn-in", "10", "--thin", "2"]

@@ -295,8 +295,36 @@ def test_workspace_names_never_share_memory():
     engine.wick_force(u, ctx, work)
     engine.run_steps(u, v, 8, RHO, 1e-3, 2, wick_kick(DynParams(ctx, 1e-3), work),
                      work)
-    buffers = [(k, b) for k, b in work.items() if isinstance(b, np.ndarray)]
+    buffers = list(work.items())
+    assert all(isinstance(b, np.ndarray) for _, b in buffers)
     assert {"sample_u", "rotate_u", "half", "norm", "step_u"} <= dict(buffers).keys()
     for i, (name_a, a) in enumerate(buffers):
         for name_b, b in buffers[i + 1:]:
             assert not np.shares_memory(a, b), (name_a, name_b)
+
+
+def test_scratch_without_workspace_is_a_fresh_array():
+    a = _scratch(None, "grid", (3, 4))
+    b = _scratch(None, "grid", (3, 4))
+    c = _scratch(None, "grid", (2, 5), complex)
+    assert (a.shape, a.dtype, c.shape, c.dtype) == ((3, 4), float, (2, 5), complex)
+    assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("t", [0.3, 1e-3])
+def test_rotate_is_a_step_without_kicks(t):
+    # the free flow and a one-step segment with a zero force read one
+    # rotation table
+    u, v = _state_rows(3)
+    zero_force = lambda x: np.zeros_like(x)
+    got = engine.rotate(u, v, 8, RHO, t)
+    want = engine.run_steps(u, v, 8, RHO, t, 1, zero_force)
+    for j in range(2):
+        np.testing.assert_array_equal(got[j], want[j])
+
+
+def test_rotation_table_is_read_only_and_bounded():
+    table = engine._rotation(8, RHO, 0.3)
+    assert engine._rotation(8, RHO, 0.3) is table
+    assert not any(a.flags.writeable for a in table)
+    assert engine._rotation.cache_info().maxsize == 32

@@ -35,7 +35,8 @@ from wicknlw.experiments import (
     scaled_forcing_grid,
 )
 from wicknlw.dynamics import record_count, records
-from wicknlw.fields import alias_free_grid, project, sobolev_norm
+from wicknlw.fields import (alias_free_grid, grid_from_half, half_from_grid,
+                            project, sobolev_norm)
 from wicknlw.free_field import sample_free_field, sample_pair_half
 from wicknlw.gibbs import ChainOptions
 from wicknlw.wick import hermite_values, wick_power
@@ -296,6 +297,22 @@ class TestScaledForcing:
         want = -engine.wick_force(u, ctx) / 6.0
         assert np.max(np.abs(got - want)) < 1e-10 * (1 + np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("name", ["sin", "cubic", "linear"])
+    def test_hook_is_the_pointwise_forcing(self, name):
+        # at a non-dyadic eps the spectral hook projects exactly the grid
+        # values scaled_forcing_grid returns, with or without a workspace
+        f, eps, rho = NONLINEARITIES[name], 0.3, 1.0
+        n = int(1 / eps)
+        rng = np.random.default_rng(5)
+        u = half_from_grid(rng.standard_normal((2, 16, 16)), n)
+        g = grid_from_half(u, alias_free_grid(n, 4))
+        g_before = g.copy()
+        want = half_from_grid(scaled_forcing_grid(f, eps, rho, g), n)
+        np.testing.assert_array_equal(g, g_before)
+        for work in (None, {}):
+            np.testing.assert_array_equal(
+                scaled_force_fn(f, eps, rho, n, work)(u), want)
+
     def test_taylor_remainder_bound(self):
         # forcing minus {linear + cubic Taylor parts} is below eps u^4 / 24
         rng = np.random.default_rng(1)
@@ -544,6 +561,16 @@ class TestUniversality:
         with pytest.raises(ValueError):
             universality_experiment(NONLINEARITIES["sin"], [0.5], 1.0, 0.1,
                                     0.1, 1e-2, 0)
+
+    def test_refinement_distance_needs_a_coarser_reference(self):
+        # n_ref = floor(1 / 0.75) = 1 has no cutoff n_ref // 2 >= 1 to
+        # compare with; cutoff 2 compares with cutoff 1
+        rep = universality_experiment(NONLINEARITIES["sin"], [1.0, 0.75], 1.0,
+                                      -0.1, 0.05, 1e-2, 3)
+        assert (rep.n_ref, rep.ref_refinement_distance) == (1, None)
+        rep = universality_experiment(NONLINEARITIES["sin"], [1.0, 0.5], 1.0,
+                                      -0.1, 0.05, 1e-2, 3)
+        assert rep.n_ref == 2 and rep.ref_refinement_distance > 0.0
 
     def test_rho_eps_reported(self):
         rep = universality_experiment(NONLINEARITIES["linear"], [1.0], 1.0,

@@ -85,9 +85,8 @@ class TestImportance:
         np.testing.assert_allclose(importance_weights(np.full(5, 2.0)), 0.2)
 
     def test_weights_normalized(self):
-        params = MuParams(1, 1.0, seed=2)
         ctx = WickContext.create(1, 1.0, 1)
-        _, _, pots, diag = sample_gibbs_arrays(params, ctx, 500, method="importance")
+        _, _, pots, diag = sample_gibbs_arrays(ctx, 2, 500, method="importance")
         w = importance_weights(pots)
         assert w.sum() == pytest.approx(1.0)
         assert diag["ess"] > 1
@@ -95,9 +94,8 @@ class TestImportance:
     def test_log_density_matches_potential(self):
         # log-weights are -potential up to a constant, and the potentials
         # agree with the zero mode of each sample's quartic Wick power
-        params = MuParams(1, 1.0, seed=3)
         ctx = WickContext.create(1, 1.0, 1)
-        u, _, pots, _ = sample_gibbs_arrays(params, ctx, 20, method="importance")
+        u, _, pots, _ = sample_gibbs_arrays(ctx, 3, 20, method="importance")
         logw = np.log(importance_weights(pots))
         np.testing.assert_allclose(logw - logw[0], -(pots - pots[0]), atol=1e-12)
         for ui, p in zip(u, pots):
@@ -109,9 +107,8 @@ class TestMetropolis:
     def test_single_mode_matches_quadrature(self):
         rho = 1.0
         oracle = single_mode_moment_quadrature(rho, m=1, moment=2)
-        params = MuParams(0, rho, seed=5)
         ctx = WickContext.create(0, rho, 1)
-        u, _, _, diag = sample_gibbs_arrays(params, ctx, 20000, method="metropolis",
+        u, _, _, diag = sample_gibbs_arrays(ctx, 5, 20000, method="metropolis",
                                             opts=ChainOptions(n_chains=8,
                                                               burn_in=200, thin=2))
         vals = u[:, 0, 0].real ** 2
@@ -123,9 +120,8 @@ class TestMetropolis:
     def test_blend_chain_same_target(self):
         rho = 1.0
         oracle = single_mode_moment_quadrature(rho, m=1, moment=2)
-        params = MuParams(0, rho, seed=6)
         ctx = WickContext.create(0, rho, 1)
-        u, _, _, diag = sample_gibbs_arrays(params, ctx, 20000, method="metropolis",
+        u, _, _, diag = sample_gibbs_arrays(ctx, 6, 20000, method="metropolis",
                                             opts=ChainOptions(n_chains=8, burn_in=400,
                                                               thin=4, blend=0.5))
         vals = u[:, 0, 0].real ** 2
@@ -133,11 +129,10 @@ class TestMetropolis:
         assert abs(vals.mean() - oracle) < 5 * se
 
     def test_determinism(self):
-        params = MuParams(1, 1.0, seed=9)
         ctx = WickContext.create(1, 1.0, 1)
         opts = ChainOptions(n_chains=4, burn_in=50, thin=2)
-        a = sample_gibbs_arrays(params, ctx, 50, method="metropolis", opts=opts)
-        b = sample_gibbs_arrays(params, ctx, 50, method="metropolis", opts=opts)
+        a = sample_gibbs_arrays(ctx, 9, 50, method="metropolis", opts=opts)
+        b = sample_gibbs_arrays(ctx, 9, 50, method="metropolis", opts=opts)
         for xa, xb in zip(a[:3], b[:3]):
             np.testing.assert_array_equal(xa, xb)
 
@@ -146,9 +141,8 @@ class TestHMC:
     def test_single_mode_matches_quadrature(self):
         rho = 1.0
         oracle = single_mode_moment_quadrature(rho, m=1, moment=2)
-        params = MuParams(0, rho, seed=8)
         ctx = WickContext.create(0, rho, 1)
-        u, _, _, diag = sample_gibbs_arrays(params, ctx, 10000, method="hmc",
+        u, _, _, diag = sample_gibbs_arrays(ctx, 8, 10000, method="hmc",
                                             opts=ChainOptions(n_chains=8,
                                                               burn_in=100, thin=3))
         vals = u[:, 0, 0].real ** 2
@@ -159,20 +153,33 @@ class TestHMC:
     def test_consistent_with_importance_small_cutoff(self):
         # same observable through two exact samplers at N = 1
         n, rho = 1, 1.0
-        params = MuParams(n, rho, seed=31)
         ctx = WickContext.create(n, rho, 1)
         u_h, _, _, _ = sample_gibbs_arrays(
-            params, ctx, 4000, method="hmc",
+            ctx, 31, 4000, method="hmc",
             opts=ChainOptions(n_chains=16, burn_in=200, thin=4))
         h_vals = l2_norm_sq(u_h, n)
-        u_i, _, pots, _ = sample_gibbs_arrays(MuParams(n, rho, seed=32), ctx,
-                                              200000, method="importance")
+        u_i, _, pots, _ = sample_gibbs_arrays(ctx, 32, 200000,
+                                              method="importance")
         w = importance_weights(pots)
         i_vals = l2_norm_sq(u_i, n)
         i_mean = float(np.sum(w * i_vals))
         i_se = math.sqrt(float(np.sum(w**2 * (i_vals - i_mean) ** 2)))
         h_se = h_vals.std(ddof=1) / math.sqrt(len(h_vals))
         assert abs(h_vals.mean() - i_mean) < 4 * math.hypot(h_se, i_se)
+
+
+class TestKeptPotentials:
+    @pytest.mark.parametrize("method", ["metropolis", "hmc"])
+    def test_potentials_are_those_of_the_kept_draws(self, method):
+        # the chain driver returns the potentials it accepted with each
+        # draw; they are the potentials of the returned positions, bit for
+        # bit, at the cutoff and mass of the context
+        ctx = WickContext.create(2, 1.3, 1)
+        u, _, pots, _ = sample_gibbs_arrays(
+            ctx, 4, 30, method=method,
+            opts=ChainOptions(n_chains=4, burn_in=10, thin=2))
+        assert u.shape == (30, 5, 3)
+        np.testing.assert_array_equal(pots, wick_potential_values(u, ctx))
 
 
 class TestChainDraws:
@@ -216,11 +223,11 @@ class TestSamplerConsistency:
         n_chains, per_chain = 16, 1250
         ctx = WickContext.create(n, rho, 1)
         ui, vi, pots, _ = sample_gibbs_arrays(
-            MuParams(n, rho, seed=41), ctx, 150000, method="importance")
+            ctx, 41, 150000, method="importance")
         wgt = importance_weights(pots)
         mi = observable_matrix(ui, vi, ctx)
         um, vm, _, _ = sample_gibbs_arrays(
-            MuParams(n, rho, seed=42), ctx, n_chains * per_chain,
+            ctx, 42, n_chains * per_chain,
             method="metropolis",
             opts=ChainOptions(n_chains=n_chains, burn_in=400, thin=4,
                               blend=0.35))
