@@ -7,6 +7,10 @@ Every run setting is one :class:`RunConfig` field.  Its key is accepted in
 by default) by the subcommands that ``_SUBCOMMANDS`` lists it for.  Flags
 override the file; :meth:`RunConfig.validate` checks the resolved values,
 and the fully resolved configuration is echoed into every JSON report.
+Each ``_run_*`` runner writes its CSV tables and returns ``(exit code,
+body)``; :func:`dispatch` then writes the one ``report.json`` envelope
+(config, provenance, subcommand and the body), and :func:`_error` writes
+``error.json`` for a run that fails.
 Exit codes: 0 success / statistical PASS, 2 configuration error, 3
 numerical failure, 4 statistical FAIL.
 """
@@ -270,7 +274,7 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
     write_csv(path, list(rows[0]), [list(r.values()) for r in rows])
 
 
-def _run_sample(cfg: RunConfig, outdir: Path) -> int:
+def _run_sample(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     params = MuParams(cfg.n, cfg.rho, cfg.seed)
     rows = []
     step = _block_size(4 * (2 * cfg.n + 1) ** 2)
@@ -285,15 +289,10 @@ def _run_sample(cfg: RunConfig, outdir: Path) -> int:
     write_csv(outdir / "samples.csv",
               ["index", "l2_u_sq", "l2_v_sq", "quadratic_energy"], rows)
     mean_l2 = float(np.mean([r[1] for r in rows]))
-    write_json_report(outdir / "report.json", _report_payload(cfg, {
-        "subcommand": "sample",
-        "mean_l2_u_sq": mean_l2,
-        "n_samples": cfg.samples,
-    }))
-    return EXIT_OK
+    return EXIT_OK, {"mean_l2_u_sq": mean_l2, "n_samples": cfg.samples}
 
 
-def _run_evolve(cfg: RunConfig, outdir: Path) -> int:
+def _run_evolve(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     ctx = WickContext.create(cfg.n, cfg.rho, cfg.m)
     dt = cfg.resolved_dt()
     dyn = DynParams(ctx, dt)
@@ -309,15 +308,13 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> int:
         np.savez(outdir / "states.npz", times=traj.times,
                  u=full_from_half(traj.u), v=full_from_half(traj.v))
     h = [r[1] for r in rows]
-    write_json_report(outdir / "report.json", _report_payload(cfg, {
-        "subcommand": "evolve",
+    return EXIT_OK, {
         "dt": dt,
         "record_every": rec,
         "energy_initial": h[0],
         "energy_final": h[-1],
         "max_rel_energy_drift": max(abs(x - h[0]) for x in h) / (1 + abs(h[0])),
-    }))
-    return EXIT_OK
+    }
 
 
 def _chain_opts(cfg: RunConfig) -> ChainOptions:
@@ -325,7 +322,7 @@ def _chain_opts(cfg: RunConfig) -> ChainOptions:
                         thin=cfg.thin, blend=cfg.blend)
 
 
-def _run_gibbs(cfg: RunConfig, outdir: Path) -> int:
+def _run_gibbs(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     ctx = WickContext.create(cfg.n, cfg.rho, cfg.m)
     u, v, pots, diag = sample_gibbs_arrays(ctx, cfg.seed, cfg.samples, cfg.method,
                                            _chain_opts(cfg))
@@ -337,14 +334,10 @@ def _run_gibbs(cfg: RunConfig, outdir: Path) -> int:
               ["index", "wick_potential", "log_density", "wick_mass",
                "quadratic_energy", "mode_sq_0_0", "mode_sq_1_0", "mode_sq_1_1"],
               rows)
-    write_json_report(outdir / "report.json", _report_payload(cfg, {
-        "subcommand": "gibbs",
-        "diagnostics": diag,
-    }))
-    return EXIT_OK
+    return EXIT_OK, {"diagnostics": diag}
 
 
-def _run_invariance(cfg: RunConfig, outdir: Path) -> int:
+def _run_invariance(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     ctx = WickContext.create(cfg.n, cfg.rho, cfg.m)
     dyn = DynParams(ctx, cfg.resolved_dt())
     report = invariance_test(dyn, cfg.T, cfg.samples, cfg.seed,
@@ -352,15 +345,11 @@ def _run_invariance(cfg: RunConfig, outdir: Path) -> int:
                              z_threshold=cfg.z_threshold,
                              drift_tol=cfg.drift_tol)
     _write_rows(outdir / "invariance.csv", report.observables)
-    write_json_report(outdir / "report.json", _report_payload(cfg, {
-        "subcommand": "invariance",
-        "report": report.to_dict(),
-        "passed": report.passed,
-    }))
-    return EXIT_OK if report.passed else EXIT_STATISTICAL
+    code = EXIT_OK if report.passed else EXIT_STATISTICAL
+    return code, {"report": report.to_dict(), "passed": report.passed}
 
 
-def _run_chaos(cfg: RunConfig, outdir: Path) -> int:
+def _run_chaos(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     report = chaos_convergence_study(cfg.ell_max, cfg.n_values(), cfg.rho,
                                      cfg.t_eval, cfg.eps_reg, cfg.samples,
                                      cfg.seed, cauchy=cfg.cauchy)
@@ -379,28 +368,19 @@ def _run_chaos(cfg: RunConfig, outdir: Path) -> int:
                for r in report.cross_rows])
     if report.cauchy_rows:
         _write_rows(outdir / "chaos_cauchy.csv", report.cauchy_rows)
-    write_json_report(outdir / "report.json", _report_payload(cfg, {
-        "subcommand": "chaos",
-        "report": report.to_dict(),
-    }))
-    return EXIT_OK
+    return EXIT_OK, {"report": report.to_dict()}
 
 
-def _run_universality(cfg: RunConfig, outdir: Path) -> int:
+def _run_universality(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     report = universality_experiment(NONLINEARITIES[cfg.f], cfg.eps_values(),
                                      cfg.rho, cfg.s, cfg.T, cfg.resolved_dt(),
                                      cfg.seed)
     _write_rows(outdir / "universality.csv", report.rows)
     dists = report.distances()
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
-    write_json_report(outdir / "report.json", _report_payload(cfg, {
-        "subcommand": "universality",
-        "report": report.to_dict(),
-        "strictly_decreasing": monotone,
-    }))
-    if any(r["failed"] for r in report.rows):
-        return EXIT_NUMERICAL
-    return EXIT_OK if monotone else EXIT_STATISTICAL
+    failed = any(r["failed"] for r in report.rows)
+    code = EXIT_NUMERICAL if failed else EXIT_OK if monotone else EXIT_STATISTICAL
+    return code, {"report": report.to_dict(), "strictly_decreasing": monotone}
 
 
 _RUNNERS = {
@@ -419,31 +399,27 @@ def dispatch(cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         cfg.validate()
-        return _RUNNERS[cfg.subcommand](cfg, outdir)
+        code, body = _RUNNERS[cfg.subcommand](cfg, outdir)
     except IntegrationError as exc:
-        write_json_report(outdir / "error.json", _report_payload(cfg, {
-            "error": "integration_failure",
-            "message": str(exc),
-            "time": exc.time,
-        }))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _error(cfg, EXIT_NUMERICAL, "integration_failure", exc,
+                      time=exc.time)
     except ValueError as exc:
         # ConfigError from validate, or parameters that only the study
         # itself can reject, e.g. a non-decreasing eps ladder or zero chains
-        return _config_error(cfg, exc)
+        return _error(cfg, EXIT_CONFIG, "configuration", exc)
+    write_json_report(outdir / "report.json", _report_payload(
+        cfg, {"subcommand": cfg.subcommand, **body}))
+    return code
 
 
-def _config_error(cfg: RunConfig, exc: ValueError) -> int:
-    """Record a configuration error in <out>/<subcommand>/error.json."""
-    outdir = Path(cfg.out) / cfg.subcommand
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_json_report(outdir / "error.json", _report_payload(cfg, {
-        "error": "configuration",
-        "message": str(exc),
-    }))
-    print(f"configuration error: {exc}", file=sys.stderr)
-    return EXIT_CONFIG
+def _error(cfg: RunConfig, code: int, kind: str, exc: Exception, **extra) -> int:
+    """Record a failed run in <out>/<subcommand>/error.json and on stderr."""
+    write_json_report(Path(cfg.out) / cfg.subcommand / "error.json",
+                      _report_payload(cfg, {"error": kind, "message": str(exc),
+                                            **extra}))
+    label = "numerical failure" if code == EXIT_NUMERICAL else "configuration error"
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -452,7 +428,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(argv)
     except ConfigError as exc:
         # the config file failed: record under the flags' --out, no file value
-        return _config_error(_resolve(_build_parser().parse_args(argv), {}), exc)
+        cfg = _resolve(_build_parser().parse_args(argv), {})
+        return _error(cfg, EXIT_CONFIG, "configuration", exc)
     return dispatch(cfg)
 
 

@@ -73,18 +73,32 @@ CHAOS_MODES = ((0, 0), (1, 0), (2, 1))
 HERMITE_POINTS = ((0.0, 0.0), (0.4, 0.0), (1.1, 2.2))
 
 
+def _mode_coeff(half: np.ndarray, n_max: int, mode: tuple[int, int]) -> np.ndarray:
+    """Coefficient of a mode from the half layout (conjugate for n2 < 0)."""
+    n1, n2 = mode
+    if abs(n1) > n_max or abs(n2) > n_max:
+        return np.zeros(half.shape[:-2], dtype=complex)
+    if n2 >= 0:
+        return half[..., n1 + n_max, n2]
+    return np.conj(half[..., -n1 + n_max, -n2])
+
+
 def observable_matrix(u: np.ndarray, v: np.ndarray, ctx: WickContext) -> np.ndarray:
     """Default observables per sample, columns as in DEFAULT_OBSERVABLES."""
     n = ctx.n_max
     cols = [
         engine.wick_mass_values(u, ctx),
         engine.wick_potential_values(u, ctx),
-        np.abs(u[..., n, 0]) ** 2,
-        np.abs(u[..., n + 1, 0]) ** 2 if n >= 1 else np.zeros(u.shape[:-2]),
-        np.abs(u[..., n + 1, 1]) ** 2 if n >= 1 else np.zeros(u.shape[:-2]),
+        *(np.abs(_mode_coeff(u, n, mo)) ** 2 for mo in ((0, 0), (1, 0), (1, 1))),
         engine.quadratic_energy_values(u, v, ctx.n_max, ctx.rho),
     ]
     return np.stack(cols, axis=-1)
+
+
+def _mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean of vals and its standard error: the sample deviation
+    (n - 1 degrees of freedom) over sqrt(n)."""
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +127,8 @@ class InvarianceReport:
 
 
 def _zscore(a0: np.ndarray, a1: np.ndarray) -> tuple[float, float, float, float, float]:
-    n = len(a0)
-    m0, m1 = float(a0.mean()), float(a1.mean())
-    s0 = float(a0.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    s1 = float(a1.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    denom = math.hypot(s0, s1)
-    z = 0.0 if m1 == m0 else (m1 - m0) / denom
+    (m0, s0), (m1, s1) = _mean_se(a0), _mean_se(a1)
+    z = 0.0 if m1 == m0 else (m1 - m0) / math.hypot(s0, s1)
     return m0, s0, m1, s1, z
 
 
@@ -161,6 +171,9 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
     ok = (np.isfinite(u).reshape(n_samples, -1).all(axis=1)
           & np.isfinite(v).reshape(n_samples, -1).all(axis=1))
     n_failed = int((~ok).sum())
+    if n_samples - n_failed < 2:
+        # no standard error without two finite evolved samples
+        raise IntegrationError(t_final)
 
     obs1 = observable_matrix(u[ok], v[ok], ctx)
     h1 = obs1[:, 5] + obs1[:, 1]
@@ -218,16 +231,6 @@ def _half_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # bench/tracer.py wraps the study's former name for wick.wick_power; it
 # stays bound only for it, outside __all__
 wick_power_spectrum = wick_power
-
-
-def _mode_coeff(half: np.ndarray, n_max: int, mode: tuple[int, int]) -> np.ndarray:
-    """Coefficient of a mode from the half layout (conjugate for n2 < 0)."""
-    n1, n2 = mode
-    if abs(n1) > n_max or abs(n2) > n_max:
-        return np.zeros(half.shape[:-2], dtype=complex)
-    if n2 >= 0:
-        return half[..., n1 + n_max, n2]
-    return np.conj(half[..., -n1 + n_max, -n2])
 
 
 def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
@@ -300,32 +303,27 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
                         _subtract_padded(sp, small), -eps_reg, work))
     moment_rows = []
     for (ell, n_cut, mo), chunks in acc_sq.items():
-        vals = np.concatenate(chunks)
+        mean, se = _mean_se(np.concatenate(chunks))
         moment_rows.append({
             "ell": ell, "n_max": n_cut, "mode": list(mo),
-            "mc_estimate": float(vals.mean()),
-            "stderr": float(vals.std(ddof=1) / math.sqrt(len(vals))),
+            "mc_estimate": mean, "stderr": se,
             "analytic": chaos_second_moment(ell, n_cut, rho, mo),
         })
     cross_rows = []
     for (ell, n_cut, mo_a, mo_b), chunks in acc_cross.items():
         vals = np.concatenate(chunks)
-        se_re = float(vals.real.std(ddof=1) / math.sqrt(len(vals)))
-        se_im = float(vals.imag.std(ddof=1) / math.sqrt(len(vals)))
+        (m_re, se_re), (m_im, se_im) = _mean_se(vals.real), _mean_se(vals.imag)
         cross_rows.append({
             "ell": ell, "n_max": n_cut,
             "mode_a": list(mo_a), "mode_b": list(mo_b),
-            "mean_real": float(vals.real.mean()), "stderr_real": se_re,
-            "mean_imag": float(vals.imag.mean()), "stderr_imag": se_im,
+            "mean_real": m_re, "stderr_real": se_re,
+            "mean_imag": m_im, "stderr_imag": se_im,
         })
     cauchy_rows = []
     for (ell, n_cut), chunks in acc_d.items():
-        vals = np.concatenate(chunks)
-        cauchy_rows.append({
-            "ell": ell, "n_max": n_cut,
-            "distance": float(vals.mean()),
-            "stderr": float(vals.std(ddof=1) / math.sqrt(len(vals))),
-        })
+        mean, se = _mean_se(np.concatenate(chunks))
+        cauchy_rows.append({"ell": ell, "n_max": n_cut, "distance": mean,
+                            "stderr": se})
     return ChaosReport(moment_rows, cross_rows, cauchy_rows, n_samples,
                        t_eval, eps_reg)
 
@@ -386,13 +384,11 @@ def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
             hk = hermite_values(k, wx, 1.0)
             for m in range(k_max + 1):
                 hm = hermite_values(m, wy, 1.0)
-                prod = hk * hm
+                mean, se = _mean_se(hk * hm)
                 expected = math.factorial(k) * inner ** k if k == m else 0.0
                 rows.append({
                     "x": list(x), "y": list(y), "k": k, "m": m,
-                    "mc_estimate": float(prod.mean()),
-                    "stderr": float(prod.std(ddof=1) / math.sqrt(len(prod))),
-                    "expected": expected,
+                    "mc_estimate": mean, "stderr": se, "expected": expected,
                 })
     return rows
 
@@ -481,17 +477,13 @@ def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int,
     return force
 
 
-def _scaled_rung(master: tuple[np.ndarray, np.ndarray], eps: float,
-                 f: Nonlinearity, rho: float, dt: float):
-    """(u, v, dyn, force) of the rescaled equation at cutoff floor(1/eps),
-    the data projected from the free sample ``master``; the force owns a
-    workspace for the run."""
-    n_cut = int(math.floor(1.0 / eps))
-    if master[0].shape[-2] < 2 * n_cut + 1:
-        raise ValueError("master cutoff must dominate the working cutoff")
+def _rung(master: tuple[np.ndarray, np.ndarray], n_cut: int, f: Nonlinearity,
+          rho: float, dt: float) -> tuple[np.ndarray, np.ndarray, DynParams]:
+    """(u, v, dyn) of one ladder run at cutoff n_cut: the data projected from
+    the free sample ``master``, the limit's cubic coupling f'''(0)/6."""
     u, v = (project(a, n_cut) for a in master)
     dyn = DynParams(WickContext.create(n_cut, rho, 1), dt, lam=f.limit_coupling)
-    return u, v, dyn, scaled_force_fn(f, eps, rho, n_cut, {})
+    return u, v, dyn
 
 
 def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
@@ -503,11 +495,13 @@ def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
     drawn at cutoff ``n_master`` (default: the working cutoff), so runs at
     different eps under one seed share nested data.
     """
+    n_cut = int(math.floor(1.0 / eps))
     if n_master is None:
-        n_master = int(math.floor(1.0 / eps))
+        n_master = n_cut
     master = sample_free_field(MuParams(n_master, rho, seed))
-    u, v, dyn, force = _scaled_rung(master, eps, f, rho, dt)
-    return evolve(u, v, t_final, dyn, record_every=record_every, force=force)
+    u, v, dyn = _rung(master, n_cut, f, rho, dt)
+    return evolve(u, v, t_final, dyn, record_every=record_every,
+                  force=scaled_force_fn(f, eps, rho, n_cut, {}))
 
 
 @dataclass
@@ -552,14 +546,15 @@ def _sup_distance(us, ref: np.ndarray, s: float) -> float:
 
 def universality_experiment(f: Nonlinearity, eps_list: list[float],
                             rho: float, s: float, t_final: float, dt: float,
-                            seed: int, n_ref: int | None = None,
-                            record_every: int | None = None,
-                            ) -> UniversalityReport:
+                            seed: int) -> UniversalityReport:
     """Distance ladder sup_t ||u_eps(t) - u(t)||_{H^s} for decreasing eps.
 
     The limit u solves the renormalized cubic equation with coupling
-    f'''(0)/6 at the reference cutoff; all runs share one master free
-    sample under ``seed``, so the data are nested truncations.
+    f'''(0)/6 at the reference cutoff n_ref = floor(1/min eps), the
+    largest rung cutoff; all runs share one master free sample at n_ref
+    under ``seed``, so the data are nested truncations.  Every run records
+    u about 40 times over t_final (every max(1, round(t_final/dt/40))
+    steps) and is compared with the reference record by record.
     """
     eps_arr = list(eps_list)
     if not eps_arr:
@@ -570,27 +565,23 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
         raise ValueError("eps ladder must be strictly decreasing")
     if s >= 0:
         raise ValueError("comparison regularity s must be negative")
-    if n_ref is None:
-        n_ref = int(math.floor(1.0 / min(eps_arr)))
-    if record_every is None:
-        record_every = max(1, int(round(t_final / dt / 40.0)))
-
+    n_ref = int(math.floor(1.0 / min(eps_arr)))
+    record_every = max(1, int(round(t_final / dt / 40.0)))
     master = sample_free_field(MuParams(n_ref, rho, seed))
 
-    def reference_us(n_cut: int):
-        u, v = (project(a, n_cut) for a in master)
-        dyn = DynParams(WickContext.create(n_cut, rho, 1), dt,
-                        lam=f.limit_coupling)
-        return (u for _, u, _ in records(u, v, t_final, dyn, record_every))
+    def us(n_cut: int, force=None):
+        u, v, dyn = _rung(master, n_cut, f, rho, dt)
+        return (u for _, u, _ in records(u, v, t_final, dyn, record_every,
+                                         force))
 
     # the one stack the ladder keeps; every other run is compared with it
     # record by record as it is integrated
     ref = np.empty((record_count(t_final, dt, record_every),)
                    + master[0].shape, dtype=complex)
-    for i, u in enumerate(reference_us(n_ref)):
+    for i, u in enumerate(us(n_ref)):
         ref[i] = u
     ref_refine = (None if n_ref < 2 else  # cutoff 1 has no coarser reference
-                  _sup_distance(reference_us(n_ref // 2), ref, s))
+                  _sup_distance(us(n_ref // 2), ref, s))
 
     rows = []
     for eps in eps_arr:
@@ -598,11 +589,9 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
         row = {"eps": eps, "n_cut": n_cut,
                "rho_eps": counterterm_mass(f, eps, rho),
                "sup_distance": float("nan"), "failed": False}
-        u, v, dyn, force = _scaled_rung(master, eps, f, rho, dt)
         try:
             row["sup_distance"] = _sup_distance(
-                (u for _, u, _ in records(u, v, t_final, dyn, record_every,
-                                          force)), ref, s)
+                us(n_cut, scaled_force_fn(f, eps, rho, n_cut, {})), ref, s)
         except IntegrationError:
             row["failed"] = True
         rows.append(row)

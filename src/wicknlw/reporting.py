@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import platform
 from pathlib import Path
@@ -58,20 +59,29 @@ def _fmt(x) -> str:
 
 
 def write_json_report(path: str | Path, payload: dict) -> Path:
+    """RFC 8259 JSON of payload: an undefined value (NaN, an infinite
+    R-hat) is written as null, never as a bare NaN or Infinity token."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_json_value(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     return path
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+def _json_value(obj):
+    """obj with numpy scalars and arrays as Python values and every
+    non-finite float as None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def write_csv(path: str | Path, header: list[str], rows: list) -> Path:

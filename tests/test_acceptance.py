@@ -223,8 +223,7 @@ def test_criterion_08_gibbs_invariance():
 def test_criterion_09_weak_universality():
     f = NONLINEARITIES["sin"]
     rep = w.universality_experiment(f, [1 / 8, 1 / 16, 1 / 32], rho=1.0,
-                                    s=-0.1, t_final=0.5, dt=2e-3, seed=909,
-                                    n_ref=32)
+                                    s=-0.1, t_final=0.5, dt=2e-3, seed=909)
     dists = [r["sup_distance"] for r in rep.rows]
     ok = (not any(r["failed"] for r in rep.rows)
           and all(a > b for a, b in zip(dists, dists[1:])))

@@ -19,7 +19,9 @@ from wicknlw.fields import ball_mask, full_from_half, mode_norms_sq
 from wicknlw.reporting import provenance
 from wicknlw.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_STATISTICAL,
     ConfigError,
     RunConfig,
     dispatch,
@@ -274,6 +276,70 @@ class TestDispatch:
         assert report["report"]["n_ref"] == 1
         assert report["report"]["ref_refinement_distance"] is None
 
+    @pytest.mark.parametrize("argv, keys", [
+        (["sample", "--n", "2", "--samples", "4"], {"mean_l2_u_sq", "n_samples"}),
+        (["evolve", "--n", "2", "--T", "0.05", "--dt", "0.01"],
+         {"dt", "record_every", "energy_initial", "energy_final",
+          "max_rel_energy_drift"}),
+        (["gibbs", "--n", "1", "--samples", "20", "--method", "metropolis",
+          "--chains", "2", "--burn-in", "5", "--thin", "1"], {"diagnostics"}),
+        # one chain: R-hat is undefined
+        (["gibbs", "--n", "4", "--samples", "1", "--method", "hmc",
+          "--chains", "1", "--burn-in", "2", "--thin", "1"], {"diagnostics"}),
+        # no proposal is accepted: R-hat is infinite
+        (["gibbs", "--n", "4", "--samples", "20", "--chains", "4",
+          "--burn-in", "5", "--thin", "1", "--m", "2"], {"diagnostics"}),
+        (["invariance", "--n", "2", "--T", "0", "--samples", "20",
+          "--method", "importance"], {"report", "passed"}),
+        (["chaos", "--ell-max", "1", "--n-list", "1", "--samples", "8"],
+         {"report"}),
+        (["universality", "--eps-list", "0.5,0.25", "--T", "0.05",
+          "--dt", "0.01"], {"report", "strictly_decreasing"}),
+    ], ids=["sample", "evolve", "gibbs", "gibbs_one_chain",
+            "gibbs_none_accepted", "invariance", "chaos", "universality"])
+    def test_report_envelope(self, tmp_path, argv, keys):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"bare {token} in report.json")
+
+        report = json.loads((tmp_path / argv[0] / "report.json").read_text(),
+                            parse_constant=reject)
+        assert set(report) == {"config", "provenance", "subcommand", *keys}
+        assert report["subcommand"] == argv[0]
+        if argv[0] == "gibbs" and argv[4] == "4":
+            assert report["diagnostics"]["r_hat"] is None
+
+    def test_integration_failure_exits_three_with_record(self, tmp_path, capsys):
+        assert main(["evolve", "--n", "4", "--T", "20", "--dt", "2",
+                     "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        record = json.loads((tmp_path / "evolve" / "error.json").read_text())
+        assert record["error"] == "integration_failure"
+        assert record["time"] == 10.0
+        assert not (tmp_path / "evolve" / "report.json").exists()
+        assert "numerical failure" in capsys.readouterr().err
+
+    INVARIANCE_BLOW_UP = ["invariance", "--n", "4", "--samples", "16",
+                          "--chains", "4", "--burn-in", "5", "--thin", "1",
+                          "--seed", "1"]
+
+    def test_invariance_without_two_finite_samples_exits_three(self, tmp_path):
+        argv = self.INVARIANCE_BLOW_UP + ["--dt", "0.2", "--T", "5"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_NUMERICAL
+        record = json.loads((tmp_path / "invariance" / "error.json").read_text())
+        assert record["error"] == "integration_failure"
+        assert record["time"] == 5.0
+        assert not (tmp_path / "invariance" / "report.json").exists()
+
+    def test_invariance_partial_failure_exits_four(self, tmp_path):
+        argv = self.INVARIANCE_BLOW_UP + ["--dt", "0.25", "--T", "2"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_STATISTICAL
+        report = json.loads(
+            (tmp_path / "invariance" / "report.json").read_text())
+        assert report["report"]["n_failed"] == 5
+        assert report["passed"] is False
+        assert len(read_csv(tmp_path / "invariance" / "invariance.csv")) == 6
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["gibbs", "--n", "1", "--samples", "30", "--method",
                 "metropolis", "--chains", "3", "--burn-in", "10", "--thin", "2"]
@@ -406,6 +472,20 @@ class TestDispatch:
         assert prov["cpu_count"] == os.cpu_count()
         assert prov["OPENBLAS_NUM_THREADS"] == "1"
         assert prov["OMP_NUM_THREADS"] is None
+
+
+def test_json_report_writes_undefined_values_as_null(tmp_path):
+    from wicknlw.reporting import write_json_report
+
+    nan, inf = float("nan"), float("inf")
+    path = write_json_report(tmp_path / "r.json", {
+        "a": nan, "b": [inf, -inf, 1.5], "c": np.float64(nan),
+        "d": np.float32(inf), "e": np.array([nan, 2.0]), "f": (np.int64(3),),
+        "g": {"h": nan}, "i": None})
+    assert json.loads(path.read_text()) == {
+        "a": None, "b": [None, None, 1.5], "c": None, "d": None,
+        "e": [None, 2.0], "f": [3], "g": {"h": None}, "i": None}
+    assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
 
 
 def test_runs_leave_heavy_scipy_subpackages_unimported(tmp_path):

@@ -34,7 +34,7 @@ from wicknlw.experiments import (
     scaled_force_fn,
     scaled_forcing_grid,
 )
-from wicknlw.dynamics import record_count, records
+from wicknlw.dynamics import IntegrationError, record_count, records
 from wicknlw.fields import (alias_free_grid, grid_from_half, half_from_grid,
                             project, sobolev_norm)
 from wicknlw.free_field import sample_free_field, sample_pair_half
@@ -104,6 +104,25 @@ class TestInvariance:
         assert rep.n_failed == 0
         assert rep.passed, [r["z_score"] for r in rep.observables]
         assert rep.max_rel_energy_drift < 1e-3
+
+    @staticmethod
+    def _blow_up(dt, t_final):
+        # N = 4 at a step far past stability: some or all rows blow up
+        ctx = WickContext.create(4, 1.0, 1)
+        return invariance_test(DynParams(ctx, dt), t_final, 16, seed=1,
+                               opts=ChainOptions(n_chains=4, burn_in=5, thin=1))
+
+    def test_fewer_than_two_finite_samples_is_an_integration_error(self):
+        # every row blows up: no standard error exists, so the study
+        # raises instead of dividing by a zero z denominator
+        with pytest.raises(IntegrationError, match="at t = 5$") as exc:
+            self._blow_up(0.2, 5.0)
+        assert exc.value.time == 5.0
+
+    def test_partial_failure_is_counted_and_fails(self):
+        rep = self._blow_up(0.25, 2.0)
+        assert rep.n_failed == 5 and rep.n_samples == 16
+        assert not rep.passed
 
 
 class TestChaosStudy:
