@@ -128,7 +128,9 @@ class InvarianceReport:
 
 def _zscore(a0: np.ndarray, a1: np.ndarray) -> tuple[float, float, float, float, float]:
     (m0, s0), (m1, s1) = _mean_se(a0), _mean_se(a1)
-    z = 0.0 if m1 == m0 else (m1 - m0) / math.hypot(s0, s1)
+    # an overflowed mean or standard error has no z; NaN fails the row
+    finite = all(map(math.isfinite, (m0, s0, m1, s1)))
+    z = math.nan if not finite else 0.0 if m1 == m0 else (m1 - m0) / math.hypot(s0, s1)
     return m0, s0, m1, s1, z
 
 

@@ -16,7 +16,6 @@ import platform
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .experiments import observable_matrix
@@ -43,7 +42,6 @@ def provenance() -> dict:
         "package": "wicknlw",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),

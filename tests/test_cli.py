@@ -340,6 +340,18 @@ class TestDispatch:
         assert report["passed"] is False
         assert len(read_csv(tmp_path / "invariance" / "invariance.csv")) == 6
 
+    def test_invariance_overflowed_observables_have_null_z(self, tmp_path):
+        # the 11 finite evolved rows overflow every observable's mean or
+        # standard error: no z exists, so each row fails and reads null,
+        # never a passing 0.0 beside a null standard error
+        argv = self.INVARIANCE_BLOW_UP + ["--dt", "0.25", "--T", "2"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_STATISTICAL
+        report = json.loads(
+            (tmp_path / "invariance" / "report.json").read_text())
+        rows = report["report"]["observables"]
+        assert len(rows) == 6
+        assert all(r["z_score"] is None for r in rows)
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["gibbs", "--n", "1", "--samples", "30", "--method",
                 "metropolis", "--chains", "3", "--burn-in", "10", "--thin", "2"]
@@ -488,19 +500,29 @@ def test_json_report_writes_undefined_values_as_null(tmp_path):
     assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
 
 
-def test_runs_leave_heavy_scipy_subpackages_unimported(tmp_path):
-    # a fresh interpreter: the test process itself imports scipy.signal
+def test_package_runs_with_scipy_unimportable(tmp_path):
+    # a fresh interpreter (the test process itself imports scipy.signal) in
+    # which every scipy import raises ImportError: all six subcommands and
+    # the N = 0 oracle run on numpy alone, and no scipy module is loaded
     script = f"""
 import sys
+sys.modules["scipy"] = None
+import wicknlw
 import wicknlw.cli as cli
 out = {str(tmp_path)!r}
-assert cli.main(["chaos", "--ell-max", "2", "--n-list", "1,2", "--samples", "8",
-                 "--out", out]) == 0
-assert cli.main(["universality", "--eps-list", "0.5,0.25", "--T", "0.05",
-                 "--dt", "0.01", "--out", out]) == 0
-heavy = ("signal", "integrate", "stats", "optimize", "interpolate", "fft")
+for argv in (["sample", "--n", "2", "--samples", "4"],
+             ["evolve", "--n", "2", "--T", "0.05", "--dt", "0.01"],
+             ["gibbs", "--n", "1", "--samples", "20", "--method", "metropolis",
+              "--chains", "2", "--burn-in", "5", "--thin", "1"],
+             ["invariance", "--n", "2", "--T", "0", "--samples", "20",
+              "--method", "importance"],
+             ["chaos", "--ell-max", "2", "--n-list", "1,2", "--samples", "8"],
+             ["universality", "--eps-list", "0.5,0.25", "--T", "0.05",
+              "--dt", "0.01"]):
+    assert cli.main(argv + ["--out", out]) == 0, argv
+print(wicknlw.single_mode_moment_quadrature(1.0, 3, 2))
 print(sorted(m for m in sys.modules
-             if m.split(".")[:2] in [["scipy", h] for h in heavy]))
+             if m.split(".")[0] == "scipy" and sys.modules[m] is not None))
 """
     src = str(Path(cli_module.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -508,4 +530,6 @@ print(sorted(m for m in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    value, loaded = proc.stdout.strip().splitlines()
+    assert float(value) == pytest.approx(14.0521580350001, rel=1e-11)
+    assert loaded == "[]"

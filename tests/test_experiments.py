@@ -124,6 +124,16 @@ class TestInvariance:
         assert rep.n_failed == 5 and rep.n_samples == 16
         assert not rep.passed
 
+    def test_overflowed_observables_have_nan_z(self):
+        # the 11 finite rows still overflow: wick_mass's evolved mean is
+        # finite but its standard error is not, and a z of 0.0 would pass
+        rep = self._blow_up(0.25, 2.0)
+        mass = rep.observables[0]
+        assert mass["observable"] == "wick_mass"
+        assert math.isfinite(mass["mean_T"]) and not math.isfinite(mass["stderr_T"])
+        for r in rep.observables:
+            assert math.isnan(r["z_score"]), r
+
 
 class TestChaosStudy:
     def test_degree_one_matches_covariance(self):

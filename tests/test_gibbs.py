@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 
 from wicknlw import (
     ChainOptions,
@@ -256,3 +257,47 @@ class TestQuadratureOracle:
         m2_light = single_mode_moment_quadrature(0.5, 1, 2)
         m2_heavy = single_mode_moment_quadrature(4.0, 1, 2)
         assert m2_heavy < m2_light
+
+    @staticmethod
+    def _hermite_e_reference(rho, m, moment):
+        # an independent evaluation: H_k(x; s) = s^(k/2) He_k(x / sqrt(s))
+        # through numpy's HermiteE series, trapezoid on 2,000,001 nodes
+        s, deg, cut = 1.0 / rho, 2 * m + 2, 12.0 / math.sqrt(min(rho, 1.0))
+        x = np.linspace(-cut, cut, 2_000_001)
+        h = s ** (deg / 2) * hermeval(x / math.sqrt(s), [0] * deg + [1])
+        ell = -h / deg - 0.5 * rho * x * x
+        weight = np.exp(ell - ell.max())
+        return float(np.sum(x ** moment * weight) / np.sum(weight))
+
+    @pytest.mark.parametrize("rho, m", [
+        *((rho, m) for rho in (0.5, 1.0, 2.0) for m in (1, 2, 3)),
+        (2.0, 4), (1.0, 4), (0.5, 4), (math.sqrt(3.0), 1)])
+    def test_matches_hermite_e_trapezoid(self, rho, m):
+        # at m = 1, rho = sqrt 3 the peak at 0 is flat: -l''(0) rounds below 0
+        want = self._hermite_e_reference(rho, m, 2)
+        assert single_mode_moment_quadrature(rho, m, 2) == pytest.approx(
+            want, rel=1e-10)
+
+    @pytest.mark.parametrize("rho, m, want", [
+        (1.0, 3, 14.0521580350001), (0.5, 4, 40.7297209815837),
+        (1.0, 4, 20.3644035866047)])
+    def test_deep_wells_resolved(self, rho, m, want):
+        # log-density peaks near 372 at (1, 3), in wells as narrow as 7e-4 at
+        # (0.5, 4): a linear-space integrand overflows or misses them
+        assert single_mode_moment_quadrature(rho, m, 2) == pytest.approx(
+            want, rel=1e-11)
+
+    def test_cubic_value_unchanged(self):
+        # criterion 07's oracle
+        assert single_mode_moment_quadrature(1.0, 1, 2) == pytest.approx(
+            1.6654909742567603, rel=1e-13)
+
+    def test_importance_sampler_agrees_at_quintic(self):
+        oracle = single_mode_moment_quadrature(1.0, 2, 2)
+        ctx = WickContext.create(0, 1.0, 2)
+        u, _, pots, _ = sample_gibbs_arrays(ctx, 708, 100000, method="importance")
+        wgt = importance_weights(pots)
+        vals = u[:, 0, 0].real ** 2
+        mean = float(np.sum(wgt * vals))
+        se = math.sqrt(float(np.sum(wgt**2 * (vals - mean) ** 2)))
+        assert abs(mean - oracle) <= 3.0 * se
