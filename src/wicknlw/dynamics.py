@@ -14,7 +14,9 @@ order, which is what makes the Gibbs-invariance experiments meaningful.
 :func:`records` steps one run on one workspace (see :mod:`wicknlw.engine`)
 and yields its records one at a time; :func:`evolve` stacks them, the
 universality ladder streams them.  Batches that count or reject failed
-rows (``invariance_test``, HMC) step through ``engine.run_steps_blocked``.
+rows step through ``engine.run_steps`` in blocks of ``engine.step_rows``:
+``invariance_test`` block by block, the HMC proposal through
+``engine.run_steps_blocked``.
 """
 
 from __future__ import annotations

@@ -83,12 +83,17 @@ def _mode_coeff(half: np.ndarray, n_max: int, mode: tuple[int, int]) -> np.ndarr
     return np.conj(half[..., -n1 + n_max, -n2])
 
 
-def observable_matrix(u: np.ndarray, v: np.ndarray, ctx: WickContext) -> np.ndarray:
-    """Default observables per sample, columns as in DEFAULT_OBSERVABLES."""
+def observable_matrix(u: np.ndarray, v: np.ndarray, ctx: WickContext,
+                      work: dict | None = None) -> np.ndarray:
+    """Default observables per sample, columns as in DEFAULT_OBSERVABLES.
+
+    The potential's grids are buffers of the workspace ``work`` when one
+    is given (see :func:`engine.wick_potential_values`).
+    """
     n = ctx.n_max
     cols = [
         engine.wick_mass_values(u, ctx),
-        engine.wick_potential_values(u, ctx),
+        engine.wick_potential_values(u, ctx, work),
         *(np.abs(_mode_coeff(u, n, mo)) ** 2 for mo in ((0, 0), (1, 0), (1, 1))),
         engine.quadratic_energy_values(u, v, ctx.n_max, ctx.rho),
     ]
@@ -145,6 +150,14 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
     drift below drift_tol.  The z denominator combines the two slices'
     standard errors without the (favorable) cross-covariance, which makes
     the test conservative for independent samples.
+
+    The evolution streams: one block of ``engine.step_rows(ctx)`` samples
+    at a time, on one workspace, gets its t = 0 observables, its Strang
+    segment and partial step, its finite mask and the t = T observables
+    of its finite rows.  Only the two observable matrices and the mask
+    outlive a block, besides the sampler's arrays.  Rows are independent
+    and keep their order, so the report equals that of one pass over the
+    whole ensemble.
     """
     if t_final < 0:
         raise ValueError("final time must be nonnegative")
@@ -157,39 +170,50 @@ def invariance_test(dyn: DynParams, t_final: float, n_samples: int, seed: int,
                          "(metropolis or hmc)")
     ctx = dyn.ctx
     u, v, _, diag = sample_gibbs_arrays(ctx, seed, n_samples, method, opts)
-
-    # H = quadratic_energy + wick_potential, as in engine.hamiltonian_values
-    obs0 = observable_matrix(u, v, ctx)
-    h0 = obs0[:, 5] + obs0[:, 1]
-
     n_steps, remainder = step_schedule(t_final, dyn.dt)
     work: dict = {}
     kick = wick_kick(dyn, work)
+    obs0 = np.empty((n_samples, len(DEFAULT_OBSERVABLES)))
+    obs1 = np.empty_like(obs0)
+    ok = np.empty(n_samples, dtype=bool)
+    block = engine.step_rows(ctx)
+    # a diverged run is reported through n_failed and null z and drift, so
+    # its overflows are not warned about as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_samples, block):
+            blk = slice(lo, lo + block)
+            ub, vb = u[blk], v[blk]
+            obs0[blk] = observable_matrix(ub, vb, ctx, work)
+            if n_steps:
+                ub, vb = engine.run_steps(ub, vb, ctx.n_max, ctx.rho, dyn.dt,
+                                          n_steps, kick, work)
+            if remainder:
+                ub, vb = engine.run_steps(ub, vb, ctx.n_max, ctx.rho,
+                                          remainder, 1, kick, work)
+            okb = ok[blk]
+            np.logical_and(np.isfinite(ub).reshape(len(ub), -1).all(axis=1),
+                           np.isfinite(vb).reshape(len(vb), -1).all(axis=1),
+                           out=okb)
+            obs1[blk][okb] = observable_matrix(ub[okb], vb[okb], ctx, work)
+        n_failed = n_samples - int(ok.sum())
+        if n_samples - n_failed < 2:
+            # no standard error without two finite evolved samples
+            raise IntegrationError(t_final)
 
-    if n_steps:
-        u, v = engine.run_steps_blocked(u, v, ctx, dyn.dt, n_steps, kick, work)
-    if remainder:
-        u, v = engine.run_steps_blocked(u, v, ctx, remainder, 1, kick, work)
-    ok = (np.isfinite(u).reshape(n_samples, -1).all(axis=1)
-          & np.isfinite(v).reshape(n_samples, -1).all(axis=1))
-    n_failed = int((~ok).sum())
-    if n_samples - n_failed < 2:
-        # no standard error without two finite evolved samples
-        raise IntegrationError(t_final)
+        # H = quadratic_energy + wick_potential, as in engine.hamiltonian_values
+        obs0, obs1 = obs0[ok], obs1[ok]
+        h0 = obs0[:, 5] + obs0[:, 1]
+        h1 = obs1[:, 5] + obs1[:, 1]
+        drift = np.abs(h1 - h0) / (1.0 + np.abs(h0))
 
-    obs1 = observable_matrix(u[ok], v[ok], ctx)
-    h1 = obs1[:, 5] + obs1[:, 1]
-    drift = np.abs(h1 - h0[ok]) / (1.0 + np.abs(h0[ok]))
-
-    rows = []
-    all_pass = True
-    for j, name in enumerate(DEFAULT_OBSERVABLES):
-        m0, s0, m1, s1, z = _zscore(obs0[ok][:, j], obs1[:, j])
-        rows.append({"observable": name, "mean_t0": m0, "stderr_t0": s0,
-                     "mean_T": m1, "stderr_T": s1, "z_score": z})
-        all_pass &= abs(z) <= z_threshold
-    max_drift = float(drift.max()) if len(drift) else 0.0
-    mean_drift = float(drift.mean()) if len(drift) else 0.0
+        rows = []
+        all_pass = True
+        for j, name in enumerate(DEFAULT_OBSERVABLES):
+            m0, s0, m1, s1, z = _zscore(obs0[:, j], obs1[:, j])
+            rows.append({"observable": name, "mean_t0": m0, "stderr_t0": s0,
+                         "mean_T": m1, "stderr_T": s1, "z_score": z})
+            all_pass &= abs(z) <= z_threshold
+        max_drift, mean_drift = float(drift.max()), float(drift.mean())
     passed = bool(all_pass and max_drift <= drift_tol and n_failed == 0)
     return InvarianceReport(rows, n_samples, n_failed, t_final, dyn.dt,
                             max_drift, mean_drift, diag, z_threshold,

@@ -352,6 +352,29 @@ class TestDispatch:
         assert len(rows) == 6
         assert all(r["z_score"] is None for r in rows)
 
+    def test_invariance_divergence_prints_no_warnings(self, tmp_path):
+        # the report records the failure (exit 4, n_failed, null z), so
+        # numpy's overflow warnings on stderr would only repeat it; a fresh
+        # interpreter shows every warning at least once per location
+        argv = self.INVARIANCE_BLOW_UP + ["--dt", "0.25", "--T", "2",
+                                          "--out", str(tmp_path)]
+        script = ("import sys\n"
+                  "from wicknlw.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-W", "default", "-c", script,
+                               *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == EXIT_STATISTICAL, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+        report = json.loads(
+            (tmp_path / "invariance" / "report.json").read_text())
+        assert report["report"]["n_failed"] == 5
+        rows = report["report"]["observables"]
+        assert [r["z_score"] for r in rows] == [None] * 6
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["gibbs", "--n", "1", "--samples", "30", "--method",
                 "metropolis", "--chains", "3", "--burn-in", "10", "--thin", "2"]

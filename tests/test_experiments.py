@@ -34,11 +34,12 @@ from wicknlw.experiments import (
     scaled_force_fn,
     scaled_forcing_grid,
 )
-from wicknlw.dynamics import IntegrationError, record_count, records
+from wicknlw.dynamics import (IntegrationError, record_count, records,
+                              step_schedule, wick_kick)
 from wicknlw.fields import (alias_free_grid, grid_from_half, half_from_grid,
                             project, sobolev_norm)
 from wicknlw.free_field import sample_free_field, sample_pair_half
-from wicknlw.gibbs import ChainOptions
+from wicknlw.gibbs import ChainOptions, sample_gibbs_arrays
 from wicknlw.wick import hermite_values, wick_power
 
 
@@ -133,6 +134,64 @@ class TestInvariance:
         assert math.isfinite(mass["mean_T"]) and not math.isfinite(mass["stderr_T"])
         for r in rep.observables:
             assert math.isnan(r["z_score"]), r
+
+    @staticmethod
+    def _whole_ensemble(dyn, t_final, n_samples, seed, opts):
+        # reference: evolve every sample at once, then mask the ensemble
+        # and measure its finite rows, with the default thresholds
+        ctx = dyn.ctx
+        u, v, _, diag = sample_gibbs_arrays(ctx, seed, n_samples, "hmc", opts)
+        obs0 = observable_matrix(u, v, ctx)
+        h0 = obs0[:, 5] + obs0[:, 1]
+        n_steps, remainder = step_schedule(t_final, dyn.dt)
+        work = {}
+        kick = wick_kick(dyn, work)
+        with np.errstate(all="ignore"):
+            if n_steps:
+                u, v = engine.run_steps_blocked(u, v, ctx, dyn.dt, n_steps,
+                                                kick, work)
+            if remainder:
+                u, v = engine.run_steps_blocked(u, v, ctx, remainder, 1,
+                                                kick, work)
+            ok = (np.isfinite(u).reshape(n_samples, -1).all(axis=1)
+                  & np.isfinite(v).reshape(n_samples, -1).all(axis=1))
+            obs1 = observable_matrix(u[ok], v[ok], ctx)
+            h1 = obs1[:, 5] + obs1[:, 1]
+            drift = np.abs(h1 - h0[ok]) / (1.0 + np.abs(h0[ok]))
+            rows = []
+            for j, name in enumerate(DEFAULT_OBSERVABLES):
+                m0, s0, m1, s1, z = experiments._zscore(obs0[ok][:, j],
+                                                        obs1[:, j])
+                rows.append({"observable": name, "mean_t0": m0,
+                             "stderr_t0": s0, "mean_T": m1, "stderr_T": s1,
+                             "z_score": z})
+            n_failed = int((~ok).sum())
+            passed = bool(all(abs(r["z_score"]) <= 3.0 for r in rows)
+                          and drift.max() <= 1e-3 and n_failed == 0)
+            return experiments.InvarianceReport(
+                rows, n_samples, n_failed, t_final, dyn.dt,
+                float(drift.max()), float(drift.mean()), diag, 3.0, 1e-3,
+                passed).to_dict()
+
+    @pytest.mark.parametrize(
+        "n_max, dt, t_final, n_samples, n_chains, block, n_failed", [
+            # 130 = 2 * 61 + 8 rows at N = 8; 0.055 ends on a partial step
+            (8, 1e-2, 0.055, 130, 10, None, 0),
+            # the blow-up run: 5 of 16 rows fail, across blocks of 5 rows
+            (4, 0.25, 2.0, 16, 4, 5, 5),
+        ])
+    def test_streamed_report_equals_the_whole_ensemble(
+            self, monkeypatch, n_max, dt, t_final, n_samples, n_chains, block,
+            n_failed):
+        dyn = DynParams(WickContext.create(n_max, 1.0, 1), dt)
+        opts = ChainOptions(n_chains=n_chains, burn_in=5, thin=1)
+        want = self._whole_ensemble(dyn, t_final, n_samples, 1, opts)
+        if block is not None:
+            monkeypatch.setattr(engine, "step_rows", lambda ctx: block)
+        got = invariance_test(dyn, t_final, n_samples, seed=1, opts=opts)
+        assert got.n_failed == want["n_failed"] == n_failed
+        # repr spells every float exactly, NaN included
+        assert repr(got.to_dict()) == repr(want)
 
 
 class TestChaosStudy:
@@ -489,6 +548,38 @@ class TestBoundedMemory:
         faults = int(out.stdout.split()[-1])
         assert faults <= 25000, f"{faults} minor page faults"
 
+    def test_invariance_peak_holds_one_ensemble(self):
+        # the evolution streams blocks of step_rows samples, so the study
+        # holds the sampler's (u, v) ensemble plus one block: 59 MiB of
+        # growth for a 47 MiB ensemble, against 97-128 MiB when every
+        # sample was evolved, masked and measured at once.  The metropolis
+        # sampler keeps the run near a second; the evolution is the same
+        n_samples = 10000
+        ensemble_mb = n_samples * 2 * 17 * 9 * 16 / 2 ** 20  # N = 8
+        script = (
+            "import resource\n"
+            "from wicknlw import DynParams, WickContext, invariance_test\n"
+            "from wicknlw.gibbs import ChainOptions\n"
+            "dyn = DynParams(WickContext.create(8, 1.0, 1), 1e-3)\n"
+            "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"rep = invariance_test(dyn, 1e-3, {n_samples}, seed=1,\n"
+            "    method='metropolis',\n"
+            "    opts=ChainOptions(n_chains=200, burn_in=0, thin=1))\n"
+            "r1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert rep.n_failed == 0\n"
+            "print((r1 - r0) / 1024.0)\n"
+        )
+        src = str(Path(wicknlw.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=600,
+                             check=True)
+        growth_mb = float(out.stdout.split()[-1])
+        assert growth_mb <= ensemble_mb + 25.0, (
+            f"peak RSS grew by {growth_mb:.0f} MiB, ensemble "
+            f"{ensemble_mb:.0f} MiB")
 
     def test_universality_peak_holds_one_reference_stack(self):
         # the ladder streams every run against the reference's u stack, so
