@@ -35,7 +35,7 @@ from .experiments import (
     universality_experiment,
 )
 from .fields import full_from_half
-from .free_field import MuParams, _block_size, sample_free_field, sample_pair_half
+from .free_field import MuParams, _sample_block, sample_free_field, sample_pair_half
 from .gibbs import ChainOptions, sample_gibbs_arrays
 from .reporting import (
     provenance,
@@ -277,7 +277,7 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 def _run_sample(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
     params = MuParams(cfg.n, cfg.rho, cfg.seed)
     rows = []
-    step = _block_size(4 * (2 * cfg.n + 1) ** 2)
+    step = _sample_block(cfg.n)
     for lo in range(0, cfg.samples, step):
         u, v = sample_pair_half(params, min(step, cfg.samples - lo), lo)
         if lo == 0:

@@ -14,9 +14,9 @@ order, which is what makes the Gibbs-invariance experiments meaningful.
 :func:`records` steps one run on one workspace (see :mod:`wicknlw.engine`)
 and yields its records one at a time; :func:`evolve` stacks them, the
 universality ladder streams them.  Batches that count or reject failed
-rows step through ``engine.run_steps`` in blocks of ``engine.step_rows``:
-``invariance_test`` block by block, the HMC proposal through
-``engine.run_steps_blocked``.
+rows call ``engine.run_steps`` themselves on blocks of at most
+``engine.step_rows`` rows: ``invariance_test`` on its blocks of samples,
+the HMC proposal on the Gibbs driver's blocks of chains.
 """
 
 from __future__ import annotations

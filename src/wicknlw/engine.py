@@ -37,7 +37,6 @@ __all__ = [
     "wick_force",
     "step_rows",
     "run_steps",
-    "run_steps_blocked",
     "l2_norm_sq",
     "quadratic_energy_values",
     "wick_potential_values",
@@ -100,8 +99,9 @@ def wick_force(u: np.ndarray, ctx: WickContext,
 
 
 def step_rows(ctx: WickContext) -> int:
-    """Rows per block of ``run_steps_blocked`` and ``wick_potential_values``:
-    the ``_block_size`` rule applied to the values one Wick force holds per
+    """Rows per block of the batched Strang runs (the Gibbs chains,
+    ``invariance_test``) and of ``wick_potential_values``: the
+    ``_block_size`` rule applied to the values one Wick force holds per
     row (the M x M grid and its Hermite image, two (M, N+1) complex
     products, three half-layout arrays); 61 at N = 8.  Those are the
     block's workspace buffers, so the rule bounds the workspace.
@@ -123,7 +123,8 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     one they are fresh arrays.  The rotation by dt is the cached
     ``_rotation`` table.  With a force that keeps its grids in a workspace
     (``dynamics.wick_kick``, ``experiments.scaled_force_fn``) no step
-    allocates.  Inputs are not modified and the results are fresh arrays.
+    allocates.  Inputs are not modified; the results are fresh arrays,
+    except that n_steps < 1 returns ``u`` and ``v`` themselves.
     """
     if n_steps < 1:
         return u, v
@@ -153,23 +154,6 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     if u is not out_u:
         np.copyto(out_u, u)
     return out_u, v
-
-
-def run_steps_blocked(u: np.ndarray, v: np.ndarray, ctx: WickContext,
-                      dt: float, n_steps: int, force,
-                      work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``run_steps`` on (rows, K, N+1) arrays in blocks of ``step_rows(ctx)``
-    rows, every block on the caller's workspace ``work`` (without one,
-    every block makes its own buffers).  Rows are independent, so the
-    result equals one call on all rows.
-    """
-    u_out, v_out = np.empty_like(u), np.empty_like(v)
-    block = step_rows(ctx)
-    for lo in range(0, len(u), block):
-        rows = slice(lo, lo + block)
-        u_out[rows], v_out[rows] = run_steps(u[rows], v[rows], ctx.n_max,
-                                             ctx.rho, dt, n_steps, force, work)
-    return u_out, v_out
 
 
 def l2_norm_sq(u: np.ndarray, n_max: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from .fields import (
 from .free_field import (
     MuParams,
     _block_size,
+    _sample_block,
     chaos_second_moment,
     covariance_field,
     point_variance,
@@ -392,7 +393,7 @@ def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
 
     vals_x = [[] for _ in pairs]
     vals_y = [[] for _ in pairs]
-    block = _block_size(4 * (2 * n_max + 1) ** 2)
+    block = _sample_block(n_max)
     for lo in range(0, n_samples, block):
         hi = min(lo + block, n_samples)
         u0, v0 = sample_pair_half(params, hi - lo, start_index=lo)

@@ -80,6 +80,11 @@ def _block_size(values_per_sample: int) -> int:
     return max(1, _BLOCK_VALUES // values_per_sample)
 
 
+def _sample_block(n_max: int) -> int:
+    """The ``_block_size`` of free sampling: one (4, K, K) draw per sample."""
+    return _block_size(4 * (2 * n_max + 1) ** 2)
+
+
 def _free_halves(rngs: list[np.random.Generator], params: MuParams,
                  rows: int = 4, first: int = 0) -> list[np.ndarray]:
     """Free-measure draws in half layout, stacked over the streams ``rngs``.
@@ -120,7 +125,7 @@ def sample_pair_half(params: MuParams, n_samples: int, start_index: int = 0,
     k = 2 * params.n_max + 1
     u = _scratch(work, "sample_u", (n_samples, k, params.n_max + 1), complex)
     v = _scratch(work, "sample_v", u.shape, complex)
-    step = _block_size(4 * k * k)
+    step = _sample_block(params.n_max)
     for lo in range(0, n_samples, step):
         hi = min(lo + step, n_samples)
         rngs = [rng_for_sample(params.seed, start_index + i) for i in range(lo, hi)]

@@ -22,8 +22,8 @@ Three samplers are provided:
   deeply ordered double-well regime.
 
 Chains are the reproducibility unit: chain ``c`` under master ``seed`` uses
-the counter-based stream ``(seed, c)``, so results are independent of how
-chains are scheduled across workers.
+the counter-based stream ``(seed, c)``, and the driver runs the chains in
+blocks of ``engine.step_rows``, so the results are bit-identical for any block.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ __all__ = [
 _JITTER = 3
 # an effective sample size below this is flagged as degenerate
 _ESS_FLOOR = 100.0
+# a split R-hat above this (or not finite) is flagged as unconverged
+_RHAT_CEILING = 1.1
 
 
 @dataclass(frozen=True)
@@ -121,39 +123,45 @@ def _chain_layout(n_samples: int, opts: ChainOptions) -> tuple[int, int, int]:
 
 def _run_chains(params: MuParams, ctx: WickContext, n_samples: int,
                 opts: ChainOptions, propose):
-    """Metropolis-Hastings driver shared by the chain samplers.
+    """Metropolis-Hastings driver shared by the chain samplers: blocks of
+    ``engine.step_rows(ctx)`` chains make all their moves in turn.
 
     ``propose(move, cur, pot_cur, rngs, work) -> (prop, pot_prop, log_ratio)``
-    draws the move's noise from each chain stream and returns the proposed
-    positions, their Wick potentials and the log acceptance ratios, on the
-    run's one workspace ``work``.  Each chain stream then gives one uniform
-    for the accept step, and one velocity per kept draw.  Returns the kept
-    (u, v, potentials), the potential series (moves x chains) and the rate.
+    draws the move's noise from each chain stream of the block and returns
+    the proposed positions, their Wick potentials and the log acceptance
+    ratios, on the run's one workspace ``work``.  Each chain stream then
+    gives one uniform for the accept step, and one velocity per kept draw.
+    Returns the kept (u, v, potentials), the potential series (moves x
+    chains) and the rate.
     """
     n_chains, per_chain, moves = _chain_layout(n_samples, opts)
-    rngs = [rng_for_sample(params.seed, c) for c in range(n_chains)]
-    work: dict = {}
-    cur = _free_halves(rngs, params, rows=2)[0]
-    keep_u = np.empty((n_chains, per_chain) + cur.shape[1:], dtype=complex)
+    n = params.n_max
+    keep_u = np.empty((n_chains, per_chain, 2 * n + 1, n + 1), dtype=complex)
     keep_v = np.empty_like(keep_u)
     keep_pot = np.empty((n_chains, per_chain))
     pot_series = np.empty((moves, n_chains))
-    pot_cur = engine.wick_potential_values(cur, ctx, work)
+    work: dict = {}
     accepted = 0
-    for mv in range(moves):
-        prop, pot_prop, log_ratio = propose(mv, cur, pot_cur, rngs, work)
-        unif = np.array([r.uniform() for r in rngs])
-        take = np.log(unif) < log_ratio
-        cur[take] = prop[take]
-        pot_cur[take] = pot_prop[take]
-        accepted += int(take.sum())
-        pot_series[mv] = pot_cur
-        lag = mv - opts.burn_in + 1
-        if lag > 0 and lag % opts.thin == 0:
-            idx = lag // opts.thin - 1
-            keep_u[:, idx] = cur
-            keep_v[:, idx] = _free_halves(rngs, params, first=2)[0]
-            keep_pot[:, idx] = pot_cur
+    step = engine.step_rows(ctx)
+    for lo in range(0, n_chains, step):
+        rows = slice(lo, lo + step)
+        rngs = [rng_for_sample(params.seed, c) for c in range(n_chains)[rows]]
+        cur = _free_halves(rngs, params, rows=2)[0]
+        pot_cur = engine.wick_potential_values(cur, ctx, work)
+        for mv in range(moves):
+            prop, pot_prop, log_ratio = propose(mv, cur, pot_cur, rngs, work)
+            unif = np.array([r.uniform() for r in rngs])
+            take = np.log(unif) < log_ratio
+            cur[take] = prop[take]
+            pot_cur[take] = pot_prop[take]
+            accepted += int(take.sum())
+            pot_series[mv, rows] = pot_cur
+            lag = mv - opts.burn_in + 1
+            if lag > 0 and lag % opts.thin == 0:
+                idx = lag // opts.thin - 1
+                keep_u[rows, idx] = cur
+                keep_v[rows, idx] = _free_halves(rngs, params, first=2)[0]
+                keep_pot[rows, idx] = pot_cur
     return keep_u, keep_v, keep_pot, pot_series, accepted / (moves * n_chains)
 
 
@@ -190,8 +198,8 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
         # the trajectory, its force and the potentials share the workspace
         v = _free_halves(rngs, params, first=2)[0]
         h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
-        u_new, v_new = engine.run_steps_blocked(cur, v, ctx, dt, int(lengths[mv]),
-                                                wick_kick(dyn, work), work)
+        u_new, v_new = engine.run_steps(cur, v, n_max, rho, dt, int(lengths[mv]),
+                                        wick_kick(dyn, work), work)
         pot_new = engine.wick_potential_values(u_new, ctx, work)
         h1 = engine.quadratic_energy_values(u_new, v_new, n_max, rho) + pot_new
         return u_new, pot_new, h0 - h1
@@ -206,7 +214,8 @@ def sample_gibbs_arrays(ctx: WickContext, seed: int, n_samples: int,
 
     The first ``n_samples`` kept draws at the cutoff and mass of ``ctx``,
     under ``seed``, in chain-major order; the diagnostics report acceptance,
-    split R-hat and an integrated-autocorrelation-based effective sample size.
+    split R-hat (``r_hat_high`` when it is above 1.1 or not finite) and an
+    integrated-autocorrelation-based effective sample size.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -228,14 +237,13 @@ def sample_gibbs_arrays(ctx: WickContext, seed: int, n_samples: int,
     else:
         raise ValueError(f"unknown sampler method {method!r}")
     *kept, series, rate = _run_chains(params, ctx, n_samples, opts, propose)
-    diag.update({"acceptance_rate": rate, "n_chains": n_chains,
-                 "moves_per_chain": moves})
     u, v, pots = (a.reshape(-1, *a.shape[2:])[:n_samples] for a in kept)
     post = series[opts.burn_in :]
-    tau = _integrated_autocorr(post)
+    r_hat, tau = _split_rhat(post), _integrated_autocorr(post)
     ess = post.size / tau
     diag.update({
-        "r_hat": _split_rhat(post),
+        "acceptance_rate": rate, "n_chains": n_chains, "moves_per_chain": moves,
+        "r_hat": r_hat, "r_hat_high": not r_hat <= _RHAT_CEILING,
         "tau_potential": tau,
         "ess": float(ess),
         "ess_degenerate": bool(ess < _ESS_FLOOR),

@@ -307,8 +307,13 @@ class TestDispatch:
                             parse_constant=reject)
         assert set(report) == {"config", "provenance", "subcommand", *keys}
         assert report["subcommand"] == argv[0]
-        if argv[0] == "gibbs" and argv[4] == "4":
-            assert report["diagnostics"]["r_hat"] is None
+        if argv[0] == "gibbs":
+            diag = report["diagnostics"]
+            # the one-chain and no-accept runs at N = 4 have no finite R-hat
+            assert (diag["r_hat"] is None) == (argv[2] == "4")
+            # the flag is a JSON boolean, true above 1.1 or when undefined
+            assert diag["r_hat_high"] is (diag["r_hat"] is None
+                                          or diag["r_hat"] > 1.1)
 
     def test_integration_failure_exits_three_with_record(self, tmp_path, capsys):
         assert main(["evolve", "--n", "4", "--T", "20", "--dt", "2",

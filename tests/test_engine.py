@@ -130,23 +130,29 @@ def test_wick_force_returns_fresh_arrays(full):
     np.testing.assert_array_equal(a, a_before)
 
 
-def test_run_steps_rows_are_independent_of_the_block(monkeypatch):
+def _run_blocks(u, v, dt, n_steps, kick, work=None):
+    """run_steps on blocks of 8 rows of (u, v), restacked: 30 rows split
+    (8, 8, 8, 6) like the Gibbs chains and invariance_test at step_rows 8."""
+    parts = [engine.run_steps(u[lo : lo + 8], v[lo : lo + 8], 8, RHO, dt,
+                              n_steps, kick, work)
+             for lo in range(0, len(u), 8)]
+    return tuple(np.concatenate([p[j] for p in parts]) for j in range(2))
+
+
+def test_run_steps_rows_are_independent_of_the_block():
     # the HMC trajectory and invariance_test step in blocks of step_rows
     ctx = WickContext.create(8, RHO, 1)
     rng = np.random.default_rng(12)
-    u = half_from_full(np.stack([random_field(8, s, 0.3) for s in range(64)]))
+    u = half_from_full(np.stack([random_field(8, s, 0.3) for s in range(30)]))
     v = u * rng.standard_normal(u.shape)
     kick = lambda x: -engine.wick_force(x, ctx)
     whole = engine.run_steps(u, v, 8, RHO, 1e-3, 7, kick)
     halves = [engine.run_steps(u[s], v[s], 8, RHO, 1e-3, 7, kick)
-              for s in (slice(0, 32), slice(32, 64))]
+              for s in (slice(0, 15), slice(15, 30))]
+    blocked = _run_blocks(u, v, 1e-3, 7, kick)
     for j in range(2):
         np.testing.assert_array_equal(
             whole[j], np.concatenate([h[j] for h in halves]))
-    # 64 rows in blocks of 24: two full blocks and a partial one
-    monkeypatch.setattr(engine, "step_rows", lambda ctx: 24)
-    blocked = engine.run_steps_blocked(u, v, ctx, 1e-3, 7, kick)
-    for j in range(2):
         np.testing.assert_array_equal(whole[j], blocked[j])
 
 
@@ -229,7 +235,7 @@ def test_run_steps_peak_does_not_grow_with_the_steps():
     assert forty <= 2 * u.nbytes + 2 * 8192 * 16 + 4096, (forty, u.nbytes)
 
 
-def test_shared_workspace_is_bit_equal_to_fresh_calls(monkeypatch):
+def test_shared_workspace_is_bit_equal_to_fresh_calls():
     # one workspace across segments of two step sizes and two block shapes
     ctx = WickContext.create(8, RHO, 1)
     u, v = _state_rows(30)
@@ -241,11 +247,14 @@ def test_shared_workspace_is_bit_equal_to_fresh_calls(monkeypatch):
         for j in range(2):
             np.testing.assert_array_equal(got[j], want[j])
         u, v = got
-    monkeypatch.setattr(engine, "step_rows", lambda ctx: 8)
-    want = engine.run_steps_blocked(u, v, ctx, 1e-3, 5, fresh)
-    got = engine.run_steps_blocked(u, v, ctx, 1e-3, 5, kick, work)
+    want = _run_blocks(u, v, 1e-3, 5, fresh)
+    got = _run_blocks(u, v, 1e-3, 5, kick, work)
     for j in range(2):
         np.testing.assert_array_equal(got[j], want[j])
+    # zero steps hand back the inputs themselves
+    for same, given in zip(engine.run_steps(u, v, 8, RHO, 1e-3, 0, kick, work),
+                           (u, v)):
+        assert same is given
     np.testing.assert_array_equal(engine.wick_potential_values(u, ctx, work),
                                   engine.wick_potential_values(u, ctx))
 
@@ -259,12 +268,12 @@ def test_short_blocks_reuse_the_full_blocks_buffers(monkeypatch):
     u, v = _state_rows(30)
     work = {}
     kick = wick_kick(DynParams(ctx, 1e-3), work)
-    engine.run_steps_blocked(u, v, ctx, 1e-3, 2, kick, work)
+    _run_blocks(u, v, 1e-3, 2, kick, work)
     engine.wick_potential_values(u, ctx, work)
     buffers = {k: b for k, b in work.items() if isinstance(b, np.ndarray)}
     assert {len(b) for b in buffers.values()} == {8}
     for rows in (30, 6, 17):
-        engine.run_steps_blocked(u[:rows], v[:rows], ctx, 1e-3, 2, kick, work)
+        _run_blocks(u[:rows], v[:rows], 1e-3, 2, kick, work)
         engine.wick_potential_values(u[:rows], ctx, work)
         assert all(work[k] is b for k, b in buffers.items())
 

@@ -137,8 +137,9 @@ class TestInvariance:
 
     @staticmethod
     def _whole_ensemble(dyn, t_final, n_samples, seed, opts):
-        # reference: evolve every sample at once, then mask the ensemble
-        # and measure its finite rows, with the default thresholds
+        # reference: evolve every sample at once, in one run_steps call per
+        # segment, then mask the ensemble and measure its finite rows, with
+        # the default thresholds
         ctx = dyn.ctx
         u, v, _, diag = sample_gibbs_arrays(ctx, seed, n_samples, "hmc", opts)
         obs0 = observable_matrix(u, v, ctx)
@@ -148,11 +149,11 @@ class TestInvariance:
         kick = wick_kick(dyn, work)
         with np.errstate(all="ignore"):
             if n_steps:
-                u, v = engine.run_steps_blocked(u, v, ctx, dyn.dt, n_steps,
-                                                kick, work)
+                u, v = engine.run_steps(u, v, ctx.n_max, ctx.rho, dyn.dt,
+                                        n_steps, kick, work)
             if remainder:
-                u, v = engine.run_steps_blocked(u, v, ctx, remainder, 1,
-                                                kick, work)
+                u, v = engine.run_steps(u, v, ctx.n_max, ctx.rho, remainder, 1,
+                                        kick, work)
             ok = (np.isfinite(u).reshape(n_samples, -1).all(axis=1)
                   & np.isfinite(v).reshape(n_samples, -1).all(axis=1))
             obs1 = observable_matrix(u[ok], v[ok], ctx)

@@ -14,6 +14,7 @@ from wicknlw import (
     single_mode_moment_quadrature,
     wick_power,
 )
+from wicknlw import engine
 from wicknlw.engine import l2_norm_sq, wick_mass_values, wick_potential_values
 from wicknlw.free_field import _free_halves, rng_for_sample, sample_pair_half
 from wicknlw.gibbs import sample_gibbs_arrays
@@ -210,6 +211,50 @@ class TestChainDraws:
         got = rng_for_sample(seed, (1 << 64) - 1)
         np.testing.assert_array_equal(got.integers(-3, 4, size=64),
                                       want.integers(-3, 4, size=64))
+
+
+class TestChainBlocks:
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("method", ["metropolis", "hmc"])
+    def test_results_do_not_depend_on_the_chain_blocks(self, monkeypatch,
+                                                       method, block):
+        # every chain draws from its own stream and the hmc jitter comes
+        # first, so 10 chains in one block, in ten, or in blocks of 3 that
+        # end in a short one give the same bits
+        ctx = WickContext.create(2, 1.0, 1)
+        opts = ChainOptions(n_chains=10, burn_in=4, thin=2)
+        want = sample_gibbs_arrays(ctx, 7, 30, method, opts)
+        assert engine.step_rows(ctx) > 10
+        monkeypatch.setattr(engine, "step_rows", lambda ctx: block)
+        got = sample_gibbs_arrays(ctx, 7, 30, method, opts)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
+        # repr spells every float exactly, NaN included
+        assert repr(got[3]) == repr(want[3])
+
+
+class TestRhatFlag:
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_unconverged_chains_are_flagged(self, seed):
+        # four hmc moves from free starts at N = 8: R-hat reads 1.86-2.10
+        ctx = WickContext.create(8, 1.0, 1)
+        _, _, _, diag = sample_gibbs_arrays(
+            ctx, seed, 64, "hmc", ChainOptions(n_chains=16, burn_in=0, thin=1))
+        assert diag["r_hat"] > 1.1 and diag["r_hat_high"] is True
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_mixed_chains_are_not_flagged(self, seed):
+        ctx = WickContext.create(0, 1.0, 1)
+        _, _, _, diag = sample_gibbs_arrays(
+            ctx, seed, 4000, "metropolis", ChainOptions(n_chains=20, burn_in=300))
+        assert diag["r_hat"] < 1.05 and diag["r_hat_high"] is False
+
+    def test_undefined_rhat_is_flagged(self):
+        # one move after the burn-in cannot be split in halves: R-hat is NaN
+        ctx = WickContext.create(1, 1.0, 1)
+        _, _, _, diag = sample_gibbs_arrays(
+            ctx, 2, 1, "metropolis", ChainOptions(n_chains=1, burn_in=2, thin=1))
+        assert math.isnan(diag["r_hat"]) and diag["r_hat_high"] is True
 
 
 class TestSamplerConsistency:
