@@ -283,8 +283,8 @@ def _run_sample(cfg: RunConfig, outdir: Path) -> tuple[int, dict]:
         if lo == 0:
             write_field_csv(u[0], outdir / "field_u_0.csv")
         cols = np.column_stack([
-            engine.l2_norm_sq(u, cfg.n), engine.l2_norm_sq(v, cfg.n),
-            engine.quadratic_energy_values(u, v, cfg.n, cfg.rho)])
+            engine.l2_norm_sq(u), engine.l2_norm_sq(v),
+            engine.quadratic_energy_values(u, v, cfg.rho)])
         rows += [[lo + i, *r] for i, r in enumerate(cols.tolist())]
     write_csv(outdir / "samples.csv",
               ["index", "l2_u_sq", "l2_v_sq", "quadratic_energy"], rows)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
+from .fields import _cutoff
 from .wick import WickContext
 
 __all__ = [
@@ -151,8 +152,7 @@ def records(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
         raise ValueError("final time must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    n_max = p.ctx.n_max
-    if np.shape(u)[-2:] != (2 * n_max + 1, n_max + 1) or np.shape(v) != np.shape(u):
+    if _cutoff(u) != p.ctx.n_max or np.shape(v) != np.shape(u):
         raise ValueError("state must be in the half layout of the context cutoff")
     work: dict = {}
     return _records(u, v, t_final, p, record_every,

@@ -1,7 +1,9 @@
 """Batched half-spectrum kernels shared by the integrator and the samplers.
 
 States are carried as pairs of complex arrays of shape (..., K, N+1) holding
-the columns n2 >= 0 of Hermitian coefficient squares (K = 2N + 1); leading
+the columns n2 >= 0 of Hermitian coefficient squares (K = 2N + 1); the shape
+fixes N (``fields._cutoff``), and the Wick kernels and ``run_steps`` reject a
+state whose N is not their context's (``run_steps``' ``n_max``).  Leading
 axes enumerate independent Monte Carlo samples or chains.  All multipliers
 used here are real and even in n, so Hermitian symmetry is preserved
 automatically and the negative-n2 half is never materialized during a run.
@@ -26,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (_scratch, grid_from_half, half_from_grid, half_weights,
-                     mode_norms_sq)
+from .fields import (_cutoff, _scratch, grid_from_half, half_from_grid,
+                     half_weights, mode_norms_sq)
 from .free_field import _block_size
 from .wick import WickContext, hermite_values
 
@@ -68,14 +70,19 @@ def _rotation(n_max: int, rho: float, t: float):
     return table
 
 
-def rotate(u: np.ndarray, v: np.ndarray, n_max: int, rho: float, t: float,
+def _check_cutoff(u: np.ndarray, n_max: int) -> None:
+    if _cutoff(u) != n_max:
+        raise ValueError(f"state of cutoff {_cutoff(u)} given at cutoff {n_max}")
+
+
+def rotate(u: np.ndarray, v: np.ndarray, rho: float, t: float,
            work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact free Klein-Gordon flow by time t: a ``run_steps`` step, no kicks.
 
     With a workspace ``work`` the results are its buffers ``rotate_u`` and
     ``rotate_v``; without one they are fresh arrays.
     """
-    c, s_over, s_lam = _rotation(n_max, rho, t)
+    c, s_over, s_lam = _rotation(_cutoff(u), rho, t)
     tmp = _scratch(work, "rotate_tmp", u.shape, complex)
     new_u = np.multiply(c, u, out=_scratch(work, "rotate_u", u.shape, complex))
     new_u += np.multiply(s_over, v, out=tmp)
@@ -93,6 +100,7 @@ def wick_force(u: np.ndarray, ctx: WickContext,
     nothing and the next call overwrites the result; without one the
     result is a fresh array.
     """
+    _check_cutoff(u, ctx.n_max)
     g = grid_from_half(u, ctx.m_grid, work)
     h = hermite_values(2 * ctx.m + 1, g, ctx.sigma, work)
     return half_from_grid(h, ctx.n_max, work)
@@ -126,6 +134,7 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     allocates.  Inputs are not modified; the results are fresh arrays,
     except that n_steps < 1 returns ``u`` and ``v`` themselves.
     """
+    _check_cutoff(u, n_max)
     if n_steps < 1:
         return u, v
     c, s_over, s_lam = _rotation(n_max, rho, dt)
@@ -156,15 +165,15 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     return out_u, v
 
 
-def l2_norm_sq(u: np.ndarray, n_max: int) -> np.ndarray:
+def l2_norm_sq(u: np.ndarray) -> np.ndarray:
     """Parseval sum over the full lattice from the half layout."""
-    return np.sum(half_weights(n_max) * np.abs(u) ** 2, axis=(-2, -1))
+    return np.sum(half_weights(_cutoff(u)) * np.abs(u) ** 2, axis=(-2, -1))
 
 
-def quadratic_energy_values(u: np.ndarray, v: np.ndarray, n_max: int,
+def quadratic_energy_values(u: np.ndarray, v: np.ndarray,
                             rho: float) -> np.ndarray:
     """(1/2) sum <n>_rho^2 |u_n|^2 + (1/2) sum |v_n|^2, batched."""
-    _, lam2, colw = half_geometry(n_max, rho)
+    _, lam2, colw = half_geometry(_cutoff(u), rho)
     return 0.5 * np.sum(colw * (lam2 * np.abs(u) ** 2 + np.abs(v) ** 2),
                         axis=(-2, -1))
 
@@ -176,6 +185,7 @@ def wick_potential_values(u: np.ndarray, ctx: WickContext,
     Runs in blocks of ``step_rows(ctx)`` samples whose grids are buffers
     of one workspace: the caller's ``work``, else one made for this call.
     """
+    _check_cutoff(u, ctx.n_max)
     if work is None:
         work = {}
     deg, m_grid = 2 * ctx.m + 2, ctx.m_grid
@@ -190,11 +200,12 @@ def wick_potential_values(u: np.ndarray, ctx: WickContext,
 
 def wick_mass_values(u: np.ndarray, ctx: WickContext) -> np.ndarray:
     """Integral of the Wick square: ||u||_{L^2}^2 - sigma, batched."""
-    return l2_norm_sq(u, ctx.n_max) - ctx.sigma
+    _check_cutoff(u, ctx.n_max)
+    return l2_norm_sq(u) - ctx.sigma
 
 
 def hamiltonian_values(u: np.ndarray, v: np.ndarray,
                        ctx: WickContext) -> np.ndarray:
     """Wick-ordered energy: quadratic part plus the Wick potential."""
-    return (quadratic_energy_values(u, v, ctx.n_max, ctx.rho)
+    return (quadratic_energy_values(u, v, ctx.rho)
             + wick_potential_values(u, ctx))

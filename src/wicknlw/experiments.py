@@ -18,6 +18,7 @@ from . import engine
 from .dynamics import (DynParams, IntegrationError, Trajectory, evolve,
                        record_count, records, step_schedule, wick_kick)
 from .fields import (
+    _cutoff,
     _scratch,
     alias_free_grid,
     grid_from_half,
@@ -74,9 +75,9 @@ CHAOS_MODES = ((0, 0), (1, 0), (2, 1))
 HERMITE_POINTS = ((0.0, 0.0), (0.4, 0.0), (1.1, 2.2))
 
 
-def _mode_coeff(half: np.ndarray, n_max: int, mode: tuple[int, int]) -> np.ndarray:
+def _mode_coeff(half: np.ndarray, mode: tuple[int, int]) -> np.ndarray:
     """Coefficient of a mode from the half layout (conjugate for n2 < 0)."""
-    n1, n2 = mode
+    n_max, (n1, n2) = _cutoff(half), mode
     if abs(n1) > n_max or abs(n2) > n_max:
         return np.zeros(half.shape[:-2], dtype=complex)
     if n2 >= 0:
@@ -91,12 +92,11 @@ def observable_matrix(u: np.ndarray, v: np.ndarray, ctx: WickContext,
     The potential's grids are buffers of the workspace ``work`` when one
     is given (see :func:`engine.wick_potential_values`).
     """
-    n = ctx.n_max
     cols = [
         engine.wick_mass_values(u, ctx),
         engine.wick_potential_values(u, ctx, work),
-        *(np.abs(_mode_coeff(u, n, mo)) ** 2 for mo in ((0, 0), (1, 0), (1, 1))),
-        engine.quadratic_energy_values(u, v, ctx.n_max, ctx.rho),
+        *(np.abs(_mode_coeff(u, mo)) ** 2 for mo in ((0, 0), (1, 0), (1, 1))),
+        engine.quadratic_energy_values(u, v, ctx.rho),
     ]
     return np.stack(cols, axis=-1)
 
@@ -243,7 +243,7 @@ class ChaosReport:
 
 def _subtract_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a -= b in place in half layout, b's smaller cutoff zero-padded to a's."""
-    n_a, n_b = (a.shape[-2] - 1) // 2, (b.shape[-2] - 1) // 2
+    n_a, n_b = _cutoff(a), _cutoff(b)
     a[..., n_a - n_b : n_a + n_b + 1, : n_b + 1] -= b
     return a
 
@@ -307,15 +307,14 @@ def chaos_convergence_study(ell_max: int, n_list: list[int], rho: float,
     for lo in range(0, n_samples, block):
         hi = min(lo + block, n_samples)
         u0, v0 = sample_pair_half(params, hi - lo, lo, work)
-        z_t, _ = engine.rotate(u0, v0, n_hi, rho, t_eval, work)
+        z_t, _ = engine.rotate(u0, v0, rho, t_eval, work)
         kept = {}  # (ell, 2N) -> copy of the cutoff-N spectrum
         for n_cut in cuts:
             z_n = project(z_t, n_cut)
             for ell in range(1, ell_max + 1):
                 sp = wick_power(z_n, ell, sig[n_cut], work)
                 if n_cut in n_list:
-                    coeffs = {mo: _mode_coeff(sp, ell * n_cut, mo)
-                              for mo in CHAOS_MODES}
+                    coeffs = {mo: _mode_coeff(sp, mo) for mo in CHAOS_MODES}
                     for mo in CHAOS_MODES:
                         acc_sq.setdefault((ell, n_cut, mo), []).append(
                             np.abs(coeffs[mo]) ** 2)
@@ -367,7 +366,7 @@ def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
     W_x is the normalized field evaluation z(t, x)/sqrt(sigma); the unit
     test directions have exact inner product gamma(x - y)/sigma, computed
     from the covariance coefficients.  With x0 the first of HERMITE_POINTS,
-    the pairs are (x0, x0) plus (x0, y) for each later point y.
+    the pairs are (x0, y) for each point y, x0 included.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples for standard errors")
@@ -387,30 +386,23 @@ def hermite_moment_study(n_max: int, rho: float, k_max: int, n_samples: int,
         return np.sum((half * w).real, axis=(-2, -1))
 
     gam = covariance_field(n_max, rho)[:, n_max:]
-    x0 = HERMITE_POINTS[0]
-    pairs = [(x0, x0)] + [(x0, q) for q in HERMITE_POINTS[1:]]
-    phases = [(weights(x), weights(y)) for x, y in pairs]
-
-    vals_x = [[] for _ in pairs]
-    vals_y = [[] for _ in pairs]
+    phases = [weights(y) for y in HERMITE_POINTS]
+    w_pts = np.empty((len(HERMITE_POINTS), n_samples))  # W_y, row per point
     block = _sample_block(n_max)
     for lo in range(0, n_samples, block):
         hi = min(lo + block, n_samples)
         u0, v0 = sample_pair_half(params, hi - lo, start_index=lo)
-        z, _ = engine.rotate(u0, v0, n_max, rho, t_eval)
-        for idx, (px, py) in enumerate(phases):
-            vals_x[idx].append(evaluate(z, px) / math.sqrt(sigma))
-            vals_y[idx].append(evaluate(z, py) / math.sqrt(sigma))
+        z, _ = engine.rotate(u0, v0, rho, t_eval)
+        for w_y, w in zip(w_pts, phases):
+            w_y[lo:hi] = evaluate(z, w) / math.sqrt(sigma)
+    herm = [[hermite_values(k, w_y, 1.0) for k in range(k_max + 1)] for w_y in w_pts]
 
+    x = HERMITE_POINTS[0]
     rows = []
-    for idx, (x, y) in enumerate(pairs):
-        wx = np.concatenate(vals_x[idx])
-        wy = np.concatenate(vals_y[idx])
+    for y, h_y in zip(HERMITE_POINTS, herm):
         inner = float(evaluate(gam, weights((x[0] - y[0], x[1] - y[1])))) / sigma
-        for k in range(k_max + 1):
-            hk = hermite_values(k, wx, 1.0)
-            for m in range(k_max + 1):
-                hm = hermite_values(m, wy, 1.0)
+        for k, hk in enumerate(herm[0]):
+            for m, hm in enumerate(h_y):
                 mean, se = _mean_se(hk * hm)
                 expected = math.factorial(k) * inner ** k if k == m else 0.0
                 rows.append({
@@ -448,6 +440,11 @@ NONLINEARITIES = {
 }
 
 
+def _data_cutoff(eps: float) -> int:
+    """The cutoff floor(1/eps) of the data of the rescaled equation."""
+    return int(math.floor(1.0 / eps))
+
+
 def counterterm_mass(f: Nonlinearity, eps: float, rho: float) -> float:
     """The mass tuning f'(0) + eps^2 rho + eps^2 sigma_eps f'''(0)/2.
 
@@ -456,7 +453,7 @@ def counterterm_mass(f: Nonlinearity, eps: float, rho: float) -> float:
     """
     if not 0 < eps <= 1:
         raise ValueError("scaling parameter eps must lie in (0, 1]")
-    sigma_eps = point_variance(int(math.floor(1.0 / eps)), rho)
+    sigma_eps = point_variance(_data_cutoff(eps), rho)
     return f.d1 + eps * eps * rho + eps * eps * sigma_eps * f.d3 / 2.0
 
 
@@ -484,9 +481,9 @@ def scaled_forcing_grid(f: Nonlinearity, eps: float, rho: float,
                     np.array(values, dtype=float), None)
 
 
-def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int,
+def scaled_force_fn(f: Nonlinearity, eps: float, rho: float,
                     work: dict | None = None):
-    """Spectral kick for the rescaled microscopic equation at cutoff n_cut.
+    """Spectral kick for the rescaled microscopic equation at cutoff floor(1/eps).
 
     Pointwise evaluation on a grid alias-safe through the quartic Taylor
     order, then projection back to the working cutoff.  Like
@@ -494,6 +491,7 @@ def scaled_force_fn(f: Nonlinearity, eps: float, rho: float, n_cut: int,
     grids from the workspace ``work`` when one is given and returns the
     same buffer on every call; without one it returns fresh arrays.
     """
+    n_cut = _data_cutoff(eps)
     m_grid = alias_free_grid(n_cut, 4)
     lin = _linear_coeff(f, eps, rho)
 
@@ -522,13 +520,13 @@ def evolve_scaled(eps: float, f: Nonlinearity, rho: float, t_final: float,
     drawn at cutoff ``n_master`` (default: the working cutoff), so runs at
     different eps under one seed share nested data.
     """
-    n_cut = int(math.floor(1.0 / eps))
+    n_cut = _data_cutoff(eps)
     if n_master is None:
         n_master = n_cut
     master = sample_free_field(MuParams(n_master, rho, seed))
     u, v, dyn = _rung(master, n_cut, f, rho, dt)
     return evolve(u, v, t_final, dyn, record_every=record_every,
-                  force=scaled_force_fn(f, eps, rho, n_cut, {}))
+                  force=scaled_force_fn(f, eps, rho, {}))
 
 
 @dataclass
@@ -592,7 +590,7 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
         raise ValueError("eps ladder must be strictly decreasing")
     if s >= 0:
         raise ValueError("comparison regularity s must be negative")
-    n_ref = int(math.floor(1.0 / min(eps_arr)))
+    n_ref = _data_cutoff(min(eps_arr))
     record_every = max(1, int(round(t_final / dt / 40.0)))
     master = sample_free_field(MuParams(n_ref, rho, seed))
 
@@ -612,13 +610,13 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
 
     rows = []
     for eps in eps_arr:
-        n_cut = int(math.floor(1.0 / eps))
+        n_cut = _data_cutoff(eps)
         row = {"eps": eps, "n_cut": n_cut,
                "rho_eps": counterterm_mass(f, eps, rho),
                "sup_distance": float("nan"), "failed": False}
         try:
             row["sup_distance"] = _sup_distance(
-                us(n_cut, scaled_force_fn(f, eps, rho, n_cut, {})), ref, s)
+                us(n_cut, scaled_force_fn(f, eps, rho, {})), ref, s)
         except IntegrationError:
             row["failed"] = True
         rows.append(row)

@@ -81,11 +81,21 @@ def alias_free_grid(n_max: int, degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cutoff(half: np.ndarray) -> int:
+    """Cutoff N of a half spectrum (..., 2N+1, N+1), read from the shape
+    alone (cheap enough for every kernel call); ValueError for any other."""
+    shape = half.shape
+    n_max = (shape[-2] - 1) // 2 if len(shape) > 1 else -1
+    if shape[-2:] != (2 * n_max + 1, n_max + 1):
+        raise ValueError(f"shape {shape} is not a half spectrum (..., 2N+1, N+1)")
+    return n_max
+
+
 def full_from_half(half: np.ndarray) -> np.ndarray:
     """Rebuild the full square from the n2 >= 0 columns by conjugate mirror;
     the layout of the ``states.npz`` and field CSV dumps."""
-    k = half.shape[-2]
-    n_max = (k - 1) // 2
+    n_max = _cutoff(half)
+    k = 2 * n_max + 1
     full = np.empty(half.shape[:-1] + (k,), dtype=complex)
     full[..., :, n_max:] = half
     full[..., :, :n_max] = np.conj(half[..., ::-1, :0:-1])
@@ -158,7 +168,7 @@ def grid_from_half(half: np.ndarray, m_grid: int,
     With a workspace ``work`` the (..., M, N+1) product and the grid are
     its buffers ``syn1`` and ``grid``; without one they are fresh arrays.
     """
-    n_max = (half.shape[-2] - 1) // 2
+    n_max = _cutoff(half)
     if m_grid <= 2 * n_max:
         raise ValueError(
             f"grid size {m_grid} aliases a cutoff-{n_max} field; need M > {2 * n_max}"
@@ -211,7 +221,7 @@ def project(half: np.ndarray, n_cut: int) -> np.ndarray:
     The stored cutoff is read from the shape of ``half``; ``n_cut`` must lie
     between 0 and it.  Returns a new array of cutoff ``n_cut``.
     """
-    n_max = (half.shape[-2] - 1) // 2
+    n_max = _cutoff(half)
     if not 0 <= n_cut <= n_max:
         raise ValueError(f"projection cutoff {n_cut} outside 0..{n_max}")
     lo = n_max - n_cut
@@ -226,7 +236,7 @@ def sobolev_norm(half: np.ndarray, s: float,
 
     With a workspace ``work`` the weighted |c_n|^2 are its buffer ``norm``.
     """
-    n_max = (half.shape[-2] - 1) // 2
+    n_max = _cutoff(half)
     bracket = (1.0 + mode_norms_sq(n_max)[:, n_max:]) ** s
     sq = np.abs(half, out=_scratch(work, "norm", half.shape))
     np.square(sq, out=sq)

@@ -77,6 +77,11 @@ class ChainOptions:
             raise ValueError("blend must lie in (0, 1]")
         if self.n_chains < 1 or self.burn_in < 0 or self.thin < 1:
             raise ValueError("invalid chain sizing")
+        if not (math.isfinite(self.traj_time) and self.traj_time > 0):
+            raise ValueError("traj_time must be finite and positive")
+        if self.traj_dt is not None and not (math.isfinite(self.traj_dt)
+                                             and self.traj_dt > 0):
+            raise ValueError("traj_dt must be None or finite and positive")
 
 
 def importance_weights(potentials: np.ndarray) -> np.ndarray:
@@ -197,11 +202,11 @@ def _hmc_proposal(params: MuParams, ctx: WickContext, opts: ChainOptions,
     def propose(mv, cur, pot_cur, rngs, work):
         # the trajectory, its force and the potentials share the workspace
         v = _free_halves(rngs, params, first=2)[0]
-        h0 = engine.quadratic_energy_values(cur, v, n_max, rho) + pot_cur
+        h0 = engine.quadratic_energy_values(cur, v, rho) + pot_cur
         u_new, v_new = engine.run_steps(cur, v, n_max, rho, dt, int(lengths[mv]),
                                         wick_kick(dyn, work), work)
         pot_new = engine.wick_potential_values(u_new, ctx, work)
-        h1 = engine.quadratic_energy_values(u_new, v_new, n_max, rho) + pot_new
+        h1 = engine.quadratic_energy_values(u_new, v_new, rho) + pot_new
         return u_new, pot_new, h0 - h1
 
     return propose, {"method": "hmc", "traj_dt": dt, "traj_steps": base_steps}

@@ -12,12 +12,13 @@ equation's force, projected back to cutoff N, is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
-from .fields import _scratch, alias_free_grid, grid_from_half, half_from_grid
+from .fields import (_cutoff, _scratch, alias_free_grid, grid_from_half,
+                     half_from_grid)
 from .free_field import point_variance
 
 __all__ = [
@@ -38,8 +39,8 @@ class WickContext:
         rho: mass parameter (> 0).
         m: nonlinearity index; the equation's force has degree 2m + 1 and
             the potential degree 2m + 2.
-        sigma: pointwise variance of the cutoff free field; always equals
-            point_variance(n_max, rho).
+        sigma: point_variance(n_max, rho), the pointwise variance of the
+            cutoff free field; derived, not a constructor argument.
 
     The collocation grid :attr:`m_grid` follows from n_max and m; it is not
     a setting.
@@ -48,13 +49,12 @@ class WickContext:
     n_max: int
     rho: float
     m: int
-    sigma: float
+    sigma: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("nonlinearity index m must be >= 1")
-        if self.sigma != point_variance(self.n_max, self.rho):
-            raise ValueError("sigma must equal the exact cutoff point variance")
+        object.__setattr__(self, "sigma", point_variance(self.n_max, self.rho))
 
     @property
     def m_grid(self) -> int:
@@ -68,8 +68,8 @@ class WickContext:
 
     @classmethod
     def create(cls, n_max: int, rho: float, m: int = 1) -> "WickContext":
-        """Context with the exact cutoff point variance."""
-        return cls(n_max, float(rho), m, point_variance(n_max, rho))
+        """Context with rho coerced to float."""
+        return cls(n_max, float(rho), m)
 
 
 def hermite_values(k: int, x: np.ndarray, sigma: float,
@@ -131,7 +131,7 @@ def _spectrum_grid(z: np.ndarray, k: int) -> tuple[int, int]:
     """(cutoff N of z, grid 2kN + 1) of a degree-k Wick power spectrum."""
     if k < 1:
         raise ValueError("Wick power degree must be >= 1")
-    n_cut = (z.shape[-2] - 1) // 2
+    n_cut = _cutoff(z)
     return n_cut, alias_free_grid(n_cut, 2 * k - 1)
 
 

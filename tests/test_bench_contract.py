@@ -4,9 +4,12 @@
 ``getattr``, ``bench/child.py`` builds its kernel probes from a fixed
 context, and ``bench/workloads.py`` runs the CLI with fixed arguments, so a
 renamed function or flag breaks every benchmark run.  The benchmark files
-are loaded by path and only read.
+are loaded by path and only read.  Two workloads' outputs at seed 7 are
+also pinned to their golden sha256 digests, so a refactor that changes
+any output bit fails here.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import sys
@@ -79,6 +82,44 @@ def test_kernel_probe_calls_without_a_workspace():
     for j in range(2):
         np.testing.assert_array_equal(got[j], want[j])
         assert np.isfinite(got[j]).all()
+
+
+# sha256 of every CSV of two workloads at seed 7, recorded under numpy 2.4.6
+# with scipy-openblas 0.3.31.188.0; these files have the same bytes with
+# OPENBLAS_NUM_THREADS=1.  universality.csv is left out: its N = 64
+# products cross OpenBLAS's threading threshold, so its bytes depend on
+# the thread count.
+GOLDEN_FINGERPRINT = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+GOLDEN_DIGESTS = {
+    "invariance_hmc": {
+        "invariance.csv":
+            "01c0849b17087257835d5f7aed5287807893e8b90b2ecee381a6c8bcdf1f44b2",
+    },
+    "chaos_moments": {
+        "chaos_moments.csv":
+            "db4fd61119d92efca7ab458ca9e7e1e1f1a37a83f45108673db4cd3cd74be937",
+        "chaos_cross.csv":
+            "7fc712331c1daed20b9149ab6d7367a15b1b30121c2b5ed620e04d3ba94a057c",
+        "chaos_cauchy.csv":
+            "9207f3cfd8b7d558a0d5183627c2456147d369afe70704378ffa1c1c0b94b63e",
+    },
+}
+
+
+def _fingerprint() -> tuple:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return np.__version__, blas.get("name"), blas.get("version")
+
+
+@pytest.mark.parametrize("name", GOLDEN_DIGESTS)
+def test_workload_outputs_keep_their_golden_digests(name, tmp_path):
+    if _fingerprint() != GOLDEN_FINGERPRINT:
+        pytest.skip(f"digests recorded under numpy/BLAS {GOLDEN_FINGERPRINT}, "
+                    f"running under {_fingerprint()}")
+    assert cli.main(_load("workloads").WORKLOADS[name].argv(7, tmp_path)) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.rglob("*.csv")}
+    assert got == GOLDEN_DIGESTS[name]
 
 
 def test_cubic_forcing_check_passes():

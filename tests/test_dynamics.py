@@ -39,27 +39,27 @@ def free_sample(n_max, seed):
 class TestLinearPropagate:
     def test_identity_at_zero_time(self):
         u, v = random_state(3, 0)
-        ur, vr = engine.rotate(u, v, 3, 1.0, 0.0)
+        ur, vr = engine.rotate(u, v, 1.0, 0.0)
         np.testing.assert_array_equal(ur, u)
         np.testing.assert_array_equal(vr, v)
 
     def test_quarter_period_single_mode(self):
         u, v = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
-        ur, vr = engine.rotate(u, v, 0, 1.0, np.pi / 2)
+        ur, vr = engine.rotate(u, v, 1.0, np.pi / 2)
         assert abs(ur[0, 0]) < 1e-15
         assert vr[0, 0].real == pytest.approx(-1.0)
 
     def test_reversible(self):
         u, v = random_state(4, 7)
-        back = engine.rotate(*engine.rotate(u, v, 4, 1.3, 0.83), 4, 1.3, -0.83)
+        back = engine.rotate(*engine.rotate(u, v, 1.3, 0.83), 1.3, -0.83)
         np.testing.assert_allclose(back[0], u, atol=1e-12)
         np.testing.assert_allclose(back[1], v, atol=1e-12)
 
     def test_quadratic_energy_conserved(self):
         u, v = random_state(5, 3)
-        e0 = engine.quadratic_energy_values(u, v, 5, 0.7)
+        e0 = engine.quadratic_energy_values(u, v, 0.7)
         for t in (0.1, 1.0, 7.3):
-            e = engine.quadratic_energy_values(*engine.rotate(u, v, 5, 0.7, t), 5, 0.7)
+            e = engine.quadratic_energy_values(*engine.rotate(u, v, 0.7, t), 0.7)
             assert e == pytest.approx(e0, rel=1e-12)
 
 
@@ -97,7 +97,7 @@ class TestStepAndEvolve:
         for dt in (1e-3, 5e-4):
             # t_final = dt is a single Strang step
             a = evolve(u, v, dt, DynParams(ctx, dt)).v[-1]
-            b = engine.rotate(u, v, 3, 1.0, dt)[1]
+            b = engine.rotate(u, v, 1.0, dt)[1]
             diff = np.linalg.norm(full_from_half(a - b))
             assert diff <= 1.1 * dt * force_mag
             assert diff >= 0.5 * dt * force_mag
@@ -238,8 +238,8 @@ class TestHamiltonian:
 
     def test_quadratic_part_invariant_under_linear_flow(self):
         u, v = random_state(4, 8)
-        e0 = engine.quadratic_energy_values(u, v, 4, 1.3)
-        e1 = engine.quadratic_energy_values(*engine.rotate(u, v, 4, 1.3, 2.1), 4, 1.3)
+        e0 = engine.quadratic_energy_values(u, v, 1.3)
+        e1 = engine.quadratic_energy_values(*engine.rotate(u, v, 1.3, 2.1), 1.3)
         assert e1 == pytest.approx(e0, rel=1e-12)
 
     def test_default_dt_bounds(self):

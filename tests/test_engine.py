@@ -170,7 +170,7 @@ def _force_builders(ctx):
     return {
         "wick_kick": lambda work=None: wick_kick(DynParams(ctx, 1e-3), work),
         "scaled_force": lambda work=None: scaled_force_fn(
-            NONLINEARITIES["sin"], 0.125, RHO, ctx.n_max, work),
+            NONLINEARITIES["sin"], 0.125, RHO, work),
     }
 
 
@@ -191,7 +191,7 @@ def _fresh_kernels():
     ctx = WickContext.create(8, RHO, 1)
     u, _ = _state_rows(3)
     g = grid_from_half(u, ctx.m_grid)
-    scaled = scaled_force_fn(NONLINEARITIES["sin"], 0.125, RHO, 8)
+    scaled = scaled_force_fn(NONLINEARITIES["sin"], 0.125, RHO)
     return {
         "wick_force": (lambda x: engine.wick_force(x, ctx), u),
         "grid_from_half": (lambda x: grid_from_half(x, ctx.m_grid), u),
@@ -299,7 +299,7 @@ def test_workspace_names_never_share_memory():
     ctx = WickContext.create(8, RHO, 1)
     work = {}
     u, v = sample_pair_half(MuParams(8, RHO, seed=12), 5, 0, work)
-    z, _ = engine.rotate(u, v, 8, RHO, 0.3, work)
+    z, _ = engine.rotate(u, v, RHO, 0.3, work)
     sobolev_norm(wick_power(z, 3, ctx.sigma, work), -0.25, work)
     engine.wick_force(u, ctx, work)
     engine.run_steps(u, v, 8, RHO, 1e-3, 2, wick_kick(DynParams(ctx, 1e-3), work),
@@ -320,13 +320,43 @@ def test_scratch_without_workspace_is_a_fresh_array():
     assert not np.shares_memory(a, b)
 
 
+def test_wick_force_rejects_a_state_of_another_cutoff():
+    u, _ = _state_rows(3)
+    with pytest.raises(ValueError, match="cutoff 8 given at cutoff 4"):
+        engine.wick_force(u, WickContext.create(4, RHO, 1))
+
+
+def test_wick_potential_rejects_a_state_of_another_cutoff():
+    # sigma_4 on the N = 4 grid, which aliases a cutoff-8 state
+    u, v = _state_rows(3)
+    ctx = WickContext.create(4, RHO, 1)
+    with pytest.raises(ValueError, match="cutoff 8 given at cutoff 4"):
+        engine.wick_potential_values(u, ctx)
+    with pytest.raises(ValueError, match="cutoff 8 given at cutoff 4"):
+        engine.hamiltonian_values(u, v, ctx)
+
+
+def test_wick_mass_rejects_a_state_of_another_cutoff():
+    u, _ = _state_rows(3)
+    with pytest.raises(ValueError, match="cutoff 8 given at cutoff 0"):
+        engine.wick_mass_values(u, WickContext.create(0, RHO, 1))
+
+
+def test_run_steps_rejects_a_state_of_another_cutoff():
+    # n_max selects the rotation table: at 0 every mode would turn at sqrt(rho)
+    u, v = _state_rows(3)
+    kick = wick_kick(DynParams(WickContext.create(8, RHO, 1), 1e-3))
+    with pytest.raises(ValueError, match="cutoff 8 given at cutoff 0"):
+        engine.run_steps(u, v, 0, RHO, 1e-3, 5, kick)
+
+
 @pytest.mark.parametrize("t", [0.3, 1e-3])
 def test_rotate_is_a_step_without_kicks(t):
     # the free flow and a one-step segment with a zero force read one
     # rotation table
     u, v = _state_rows(3)
     zero_force = lambda x: np.zeros_like(x)
-    got = engine.rotate(u, v, 8, RHO, t)
+    got = engine.rotate(u, v, RHO, t)
     want = engine.run_steps(u, v, 8, RHO, t, 1, zero_force)
     for j in range(2):
         np.testing.assert_array_equal(got[j], want[j])

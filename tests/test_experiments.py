@@ -83,7 +83,7 @@ class TestInvariance:
         n, rho = 4, 1.0
         ctx = WickContext.create(n, rho, 1)
         u0, v0 = sample_pair_half(MuParams(n, rho, seed=17), 4000)
-        u1, v1 = engine.rotate(u0, v0, n, rho, 1.37)
+        u1, v1 = engine.rotate(u0, v0, rho, 1.37)
         m0 = observable_matrix(u0, v0, ctx)
         m1 = observable_matrix(u1, v1, ctx)
         for j in range(m0.shape[1]):
@@ -263,7 +263,7 @@ class TestChaosStudy:
         rep = chaos_convergence_study(ell_max, n_list, rho, t, eps, n, seed=5)
 
         u0, v0 = sample_pair_half(MuParams(8, rho, 5), n)
-        z = engine.rotate(u0, v0, 8, rho, t)[0]
+        z = engine.rotate(u0, v0, rho, t)[0]
 
         def power(ell, n_cut):
             return wick_power(project(z, n_cut), ell, point_variance(n_cut, rho))
@@ -275,8 +275,7 @@ class TestChaosStudy:
         for n_cut in n_list:
             for ell in range(1, ell_max + 1):
                 sp = power(ell, n_cut)
-                c = {mo: experiments._mode_coeff(sp, ell * n_cut, mo)
-                     for mo in CHAOS_MODES}
+                c = {mo: experiments._mode_coeff(sp, mo) for mo in CHAOS_MODES}
                 moments += [(ell, n_cut, list(mo), *mean_se(np.abs(c[mo]) ** 2))
                             for mo in CHAOS_MODES]
                 for a, b in combinations(CHAOS_MODES, 2):
@@ -317,7 +316,7 @@ class TestHermiteMoments:
         n, rho, t, ns = 3, 1.2, 0.4, 9
         rows = hermite_moment_study(n, rho, 1, ns, seed=4, t_eval=t)
         u, v = sample_pair_half(MuParams(n, rho, 4), ns)
-        z = full_from_half(engine.rotate(u, v, n, rho, t)[0])
+        z = full_from_half(engine.rotate(u, v, rho, t)[0])
         k = np.arange(-n, n + 1)
 
         def at(c, x):
@@ -381,7 +380,7 @@ class TestScaledForcing:
         eps, rho, n = 1 / 8, 1.0, 8
         ctx = WickContext.create(n, rho, 1)
         u = half_from_full(random_field(n, 3))[None]
-        force = scaled_force_fn(NONLINEARITIES["cubic"], eps, rho, n)
+        force = scaled_force_fn(NONLINEARITIES["cubic"], eps, rho)
         got = force(u)
         want = -engine.wick_force(u, ctx) / 6.0
         assert np.max(np.abs(got - want)) < 1e-10 * (1 + np.max(np.abs(want)))
@@ -400,7 +399,7 @@ class TestScaledForcing:
         np.testing.assert_array_equal(g, g_before)
         for work in (None, {}):
             np.testing.assert_array_equal(
-                scaled_force_fn(f, eps, rho, n, work)(u), want)
+                scaled_force_fn(f, eps, rho, work)(u), want)
 
     def test_taylor_remainder_bound(self):
         # forcing minus {linear + cubic Taylor parts} is below eps u^4 / 24
@@ -428,7 +427,7 @@ class TestEvolveScaled:
         n_cut, rho = 2, 1.0
         zero = np.zeros((2 * n_cut + 1, n_cut + 1), dtype=complex)
         ctx = WickContext.create(n_cut, rho, 1)
-        force = scaled_force_fn(NONLINEARITIES["sin"], 0.5, rho, n_cut)
+        force = scaled_force_fn(NONLINEARITIES["sin"], 0.5, rho)
         dyn = DynParams(ctx, 1e-2, lam=NONLINEARITIES["sin"].limit_coupling)
         traj = evolve(zero, zero, 0.1, dyn, record_every=5, force=force)
         assert np.all(traj.u == 0)

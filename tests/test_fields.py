@@ -11,8 +11,8 @@ from wicknlw import (
     project,
     sobolev_norm,
 )
-from wicknlw.fields import (_dft_factors, alias_free_grid, full_from_half,
-                            mode_norms_sq)
+from wicknlw.fields import (_cutoff, _dft_factors, alias_free_grid,
+                            full_from_half, mode_norms_sq)
 from wicknlw.reporting import read_field_csv, write_field_csv
 
 from conftest import half_from_full, half_modes, random_field, zeros_half
@@ -94,6 +94,25 @@ class TestFieldDump:
         write_rows(tmp_path / "f.csv", rows, header)
         with pytest.raises(ValueError, match=match):
             read_field_csv(tmp_path / "f.csv")
+
+
+class TestCutoff:
+    @pytest.mark.parametrize("shape, n_max", [((1, 1), 0), ((17, 9), 8),
+                                              ((3, 2, 5, 3), 2)])
+    def test_reads_the_cutoff_from_the_shape(self, shape, n_max):
+        assert _cutoff(np.zeros(shape, dtype=complex)) == n_max
+
+    @pytest.mark.parametrize("shape", [(), (5,), (0, 0), (4, 3), (5, 5),
+                                       (2, 17, 17)])
+    def test_rejects_any_other_shape(self, shape):
+        with pytest.raises(ValueError, match="not a half spectrum"):
+            _cutoff(np.zeros(shape, dtype=complex))
+
+    def test_project_rejects_a_full_square(self):
+        # the full square's first columns are the n2 < 0 modes, not a
+        # half spectrum of any cutoff
+        with pytest.raises(ValueError, match="not a half spectrum"):
+            project(random_field(4, 0), 2)
 
 
 class TestProject:

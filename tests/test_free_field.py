@@ -210,7 +210,7 @@ class TestSampling:
     def test_mean_l2_matches_point_variance(self):
         n, rho = 4, 1.0
         u, _ = sample_pair_half(MuParams(n, rho, seed=11), 20000)
-        norms = l2_norm_sq(u, n)
+        norms = l2_norm_sq(u)
         se = norms.std(ddof=1) / np.sqrt(len(norms))
         assert abs(norms.mean() - point_variance(n, rho)) < 3 * se
 

@@ -159,11 +159,11 @@ class TestHMC:
         u_h, _, _, _ = sample_gibbs_arrays(
             ctx, 31, 4000, method="hmc",
             opts=ChainOptions(n_chains=16, burn_in=200, thin=4))
-        h_vals = l2_norm_sq(u_h, n)
+        h_vals = l2_norm_sq(u_h)
         u_i, _, pots, _ = sample_gibbs_arrays(ctx, 32, 200000,
                                               method="importance")
         w = importance_weights(pots)
-        i_vals = l2_norm_sq(u_i, n)
+        i_vals = l2_norm_sq(u_i)
         i_mean = float(np.sum(w * i_vals))
         i_se = math.sqrt(float(np.sum(w**2 * (i_vals - i_mean) ** 2)))
         h_se = h_vals.std(ddof=1) / math.sqrt(len(h_vals))
@@ -211,6 +211,21 @@ class TestChainDraws:
         got = rng_for_sample(seed, (1 << 64) - 1)
         np.testing.assert_array_equal(got.integers(-3, 4, size=64),
                                       want.integers(-3, 4, size=64))
+
+
+class TestChainOptions:
+    @pytest.mark.parametrize("kw", [
+        {"traj_time": 0.0}, {"traj_time": -0.6}, {"traj_time": math.nan},
+        {"traj_time": math.inf}, {"traj_dt": 0.0}, {"traj_dt": -1e-3},
+        {"traj_dt": math.nan}, {"traj_dt": math.inf},
+    ])
+    def test_rejects_a_bad_hmc_step(self, kw):
+        with pytest.raises(ValueError, match="traj_"):
+            ChainOptions(**kw)
+
+    def test_accepts_the_default_or_a_positive_step(self):
+        assert ChainOptions().traj_dt is None
+        assert ChainOptions(traj_time=0.3, traj_dt=1e-2).traj_dt == 1e-2
 
 
 class TestChainBlocks:

@@ -117,8 +117,11 @@ class TestHermite:
 
 
 class TestWickContext:
-    def test_sigma_must_be_exact(self):
-        with pytest.raises(ValueError, match="sigma"):
+    def test_sigma_is_derived_from_cutoff_and_mass(self):
+        ctx = WickContext(4, 1.0, 1)
+        assert ctx.sigma == point_variance(4, 1.0)
+        assert ctx == WickContext.create(4, 1, 1)
+        with pytest.raises(TypeError):
             WickContext(4, 1.0, 1, 3.14)
 
     def test_create_covers_potential_degree(self):
