@@ -11,12 +11,14 @@ exactly solvable: the linear part rotates each mode, the kick changes only
 v.  Their Strang composition is symplectic, time-reversible and second
 order, which is what makes the Gibbs-invariance experiments meaningful.
 
-:func:`records` steps one run on one workspace (see :mod:`wicknlw.engine`)
-and yields its records one at a time; :func:`evolve` stacks them, the
-universality ladder streams them.  Batches that count or reject failed
-rows call ``engine.run_steps`` themselves on blocks of at most
-``engine.step_rows`` rows: ``invariance_test`` on its blocks of samples,
-the HMC proposal on the Gibbs driver's blocks of chains.
+:func:`records` steps one run on a workspace (see :mod:`wicknlw.engine`)
+and yields its records one at a time; :func:`evolve` stacks them, and the
+universality ladder advances all of its runs in lockstep on one shared
+workspace, comparing each record with the reference's as it is made.
+Batches that count or reject failed rows call ``engine.run_steps``
+themselves on blocks of at most ``engine.step_rows`` rows:
+``invariance_test`` on its blocks of samples, the HMC proposal on the
+Gibbs driver's blocks of chains.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def wick_kick(p: DynParams, work: dict | None = None):
 
 
 def records(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
-            record_every: int = 1, force=None):
+            record_every: int = 1, force=None, work: dict | None = None):
     """Integrate the half-layout state (u, v) at the context cutoff to
     t_final and yield ``(t, u, v)`` at t = 0, every ``record_every`` Strang
     steps and at t_final.  A final partial step with reduced dt lands
@@ -143,10 +145,12 @@ def records(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
 
     ``force`` may replace the default Wick kick by any force hook
     ``force(u)`` in half layout (used by the scaling experiments).  The
-    arguments are checked on the call; the steps run, on one workspace
-    that the default kick shares, as the records are consumed, and a
-    non-finite state raises :class:`IntegrationError` instead of being
-    yielded.
+    arguments are checked on the call; the steps run as the records are
+    consumed, and a non-finite state raises :class:`IntegrationError`
+    instead of being yielded.  They run on the workspace ``work`` (a fresh
+    one without it), which the default kick shares.  Runs advanced in
+    turn may share one: the records are fresh arrays, and between two
+    records a run holds none of the workspace's buffers.
     """
     if t_final <= 0:
         raise ValueError("final time must be positive")
@@ -154,7 +158,8 @@ def records(u: np.ndarray, v: np.ndarray, t_final: float, p: DynParams,
         raise ValueError("record_every must be >= 1")
     if _cutoff(u) != p.ctx.n_max or np.shape(v) != np.shape(u):
         raise ValueError("state must be in the half layout of the context cutoff")
-    work: dict = {}
+    if work is None:
+        work = {}
     return _records(u, v, t_final, p, record_every,
                     force if force is not None else wick_kick(p, work), work)
 

@@ -3,7 +3,8 @@
 States are carried as pairs of complex arrays of shape (..., K, N+1) holding
 the columns n2 >= 0 of Hermitian coefficient squares (K = 2N + 1); the shape
 fixes N (``fields._cutoff``), and the Wick kernels and ``run_steps`` reject a
-state whose N is not their context's (``run_steps``' ``n_max``).  Leading
+state whose N is not their context's (``run_steps``' ``n_max``); the
+kernels of a pair (u, v) reject a v whose shape is not u's.  Leading
 axes enumerate independent Monte Carlo samples or chains.  All multipliers
 used here are real and even in n, so Hermitian symmetry is preserved
 automatically and the negative-n2 half is never materialized during a run.
@@ -75,6 +76,12 @@ def _check_cutoff(u: np.ndarray, n_max: int) -> None:
         raise ValueError(f"state of cutoff {_cutoff(u)} given at cutoff {n_max}")
 
 
+def _check_pair(u: np.ndarray, v: np.ndarray) -> None:
+    # a v of another shape would broadcast against u
+    if v.shape != u.shape:
+        raise ValueError(f"v of shape {v.shape} paired with u of shape {u.shape}")
+
+
 def rotate(u: np.ndarray, v: np.ndarray, rho: float, t: float,
            work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact free Klein-Gordon flow by time t: a ``run_steps`` step, no kicks.
@@ -82,6 +89,7 @@ def rotate(u: np.ndarray, v: np.ndarray, rho: float, t: float,
     With a workspace ``work`` the results are its buffers ``rotate_u`` and
     ``rotate_v``; without one they are fresh arrays.
     """
+    _check_pair(u, v)
     c, s_over, s_lam = _rotation(_cutoff(u), rho, t)
     tmp = _scratch(work, "rotate_tmp", u.shape, complex)
     new_u = np.multiply(c, u, out=_scratch(work, "rotate_u", u.shape, complex))
@@ -135,6 +143,7 @@ def run_steps(u: np.ndarray, v: np.ndarray, n_max: int, rho: float,
     except that n_steps < 1 returns ``u`` and ``v`` themselves.
     """
     _check_cutoff(u, n_max)
+    _check_pair(u, v)
     if n_steps < 1:
         return u, v
     c, s_over, s_lam = _rotation(n_max, rho, dt)
@@ -173,6 +182,7 @@ def l2_norm_sq(u: np.ndarray) -> np.ndarray:
 def quadratic_energy_values(u: np.ndarray, v: np.ndarray,
                             rho: float) -> np.ndarray:
     """(1/2) sum <n>_rho^2 |u_n|^2 + (1/2) sum |v_n|^2, batched."""
+    _check_pair(u, v)
     _, lam2, colw = half_geometry(_cutoff(u), rho)
     return 0.5 * np.sum(colw * (lam2 * np.abs(u) ** 2 + np.abs(v) ** 2),
                         axis=(-2, -1))

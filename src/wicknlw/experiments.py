@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine
 from .dynamics import (DynParams, IntegrationError, Trajectory, evolve,
-                       record_count, records, step_schedule, wick_kick)
+                       records, step_schedule, wick_kick)
 from .fields import (
     _cutoff,
     _scratch,
@@ -549,26 +549,6 @@ class UniversalityReport:
         return [r["sup_distance"] for r in self.rows if not r["failed"]]
 
 
-def _sup_distance(us, ref: np.ndarray, s: float) -> float:
-    """sup over the records of ||u - ref||_{H^s} at the larger cutoff.
-
-    ``us`` yields the u records one at a time (a run's records, or the
-    rows of a stack) and is consumed as it goes; ``ref`` is a stack with
-    the same recording times.
-    """
-    sup, n = None, 0
-    for n, u in enumerate(us, 1):
-        if n > len(ref):
-            break
-        d = sobolev_norm(_half_difference(u, ref[n - 1]), s)
-        # the comparison of Python's max(), NaN included
-        if sup is None or d > sup:
-            sup = d
-    if n != len(ref):
-        raise ValueError("record stacks must share recording times")
-    return float(sup)
-
-
 def universality_experiment(f: Nonlinearity, eps_list: list[float],
                             rho: float, s: float, t_final: float, dt: float,
                             seed: int) -> UniversalityReport:
@@ -580,6 +560,15 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
     under ``seed``, so the data are nested truncations.  Every run records
     u about 40 times over t_final (every max(1, round(t_final/dt/40))
     steps) and is compared with the reference record by record.
+
+    The runs advance in lockstep: the reference, the n_ref // 2
+    refinement run and every rung each make one record in turn, and each
+    distance is taken as soon as both records exist, so no run's record
+    stack is kept.  All runs share one workspace, whose buffers are sized
+    by their largest call: between two records a run holds none of them
+    (``engine.run_steps`` returns fresh states).  A rung that fails is
+    reported and no longer advanced; a failed reference or refinement run
+    raises :class:`IntegrationError`.
     """
     eps_arr = list(eps_list)
     if not eps_arr:
@@ -593,32 +582,47 @@ def universality_experiment(f: Nonlinearity, eps_list: list[float],
     n_ref = _data_cutoff(min(eps_arr))
     record_every = max(1, int(round(t_final / dt / 40.0)))
     master = sample_free_field(MuParams(n_ref, rho, seed))
+    work: dict = {}
 
     def us(n_cut: int, force=None):
         u, v, dyn = _rung(master, n_cut, f, rho, dt)
         return (u for _, u, _ in records(u, v, t_final, dyn, record_every,
-                                         force))
+                                         force, work))
 
-    # the one stack the ladder keeps; every other run is compared with it
-    # record by record as it is integrated
-    ref = np.empty((record_count(t_final, dt, record_every),)
-                   + master[0].shape, dtype=complex)
-    for i, u in enumerate(us(n_ref)):
-        ref[i] = u
-    ref_refine = (None if n_ref < 2 else  # cutoff 1 has no coarser reference
-                  _sup_distance(us(n_ref // 2), ref, s))
-
-    rows = []
-    for eps in eps_arr:
-        n_cut = _data_cutoff(eps)
-        row = {"eps": eps, "n_cut": n_cut,
-               "rho_eps": counterterm_mass(f, eps, rho),
-               "sup_distance": float("nan"), "failed": False}
-        try:
-            row["sup_distance"] = _sup_distance(
-                us(n_cut, scaled_force_fn(f, eps, rho, {})), ref, s)
-        except IntegrationError:
-            row["failed"] = True
-        rows.append(row)
+    rows = [{"eps": eps, "n_cut": _data_cutoff(eps),
+             "rho_eps": counterterm_mass(f, eps, rho),
+             "sup_distance": float("nan"), "failed": False} for eps in eps_arr]
+    # [u records, row, sup so far] of each run compared with the reference;
+    # the refinement run has no row (and cutoff 1 no coarser reference)
+    lanes = [[us(n_ref // 2), None, None]] if n_ref >= 2 else []
+    lanes += [[us(r["n_cut"], scaled_force_fn(f, r["eps"], rho, work)), r, None]
+              for r in rows]
+    refine_error = None
+    for ref in us(n_ref):
+        for lane in lanes:
+            recs, row, sup = lane
+            if recs is None:
+                continue
+            try:
+                u = next(recs)
+            except IntegrationError as exc:
+                lane[0] = None
+                if row is None:
+                    # raised once the reference has run, whose own failure
+                    # takes precedence
+                    refine_error = exc
+                else:
+                    row["failed"] = True
+                continue
+            d = sobolev_norm(_half_difference(u, ref), s)
+            # the comparison of Python's max(), NaN included
+            if sup is None or d > sup:
+                lane[2] = d
+    if refine_error is not None:
+        raise refine_error
+    for recs, row, sup in lanes:
+        if row is not None and recs is not None:
+            row["sup_distance"] = float(sup)
+    ref_refine = float(lanes[0][2]) if n_ref >= 2 else None
     return UniversalityReport(rows, f.name, s, t_final, dt, seed, n_ref,
                               ref_refine)

@@ -350,6 +350,25 @@ def test_run_steps_rejects_a_state_of_another_cutoff():
         engine.run_steps(u, v, 0, RHO, 1e-3, 5, kick)
 
 
+def test_pair_kernels_reject_a_v_of_another_shape():
+    # each of these v broadcasts against u, so without the check each
+    # call would return results of u's shape
+    u, v = _state_rows(3)
+    assert u.shape == (3, 17, 9)
+    kick = wick_kick(DynParams(WickContext.create(8, RHO, 1), 1e-3))
+    msg = r"v of shape .* paired with u of shape \(3, 17, 9\)"
+    with pytest.raises(ValueError, match=msg):
+        engine.run_steps(u, v[:, :1, :1], 8, RHO, 1e-3, 5, kick)
+    with pytest.raises(ValueError, match=msg):
+        engine.run_steps(u, v[:, :1, :1], 8, RHO, 1e-3, 0, kick)
+    with pytest.raises(ValueError, match=msg):
+        engine.rotate(u, v[0], RHO, 0.3)
+    with pytest.raises(ValueError, match=msg):
+        engine.quadratic_energy_values(u, v[:, :1, :1], RHO)
+    with pytest.raises(ValueError, match=msg):
+        engine.hamiltonian_values(u, v[0], WickContext.create(8, RHO, 1))
+
+
 @pytest.mark.parametrize("t", [0.3, 1e-3])
 def test_rotate_is_a_step_without_kicks(t):
     # the free flow and a one-step segment with a zero force read one

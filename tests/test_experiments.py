@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -503,6 +502,19 @@ class TestBlockInvariance:
         assert max(r for r, h in calls if h == traj_dt) == block
 
 
+def _fresh_interpreter(script: str) -> float:
+    """The last number ``script`` prints, run in a fresh interpreter, so a
+    peak or a fault count is that run's alone."""
+    src = str(Path(wicknlw.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=600,
+                         check=True)
+    return float(out.stdout.split()[-1])
+
+
 class TestBoundedMemory:
     def test_chaos_peak_does_not_scale_with_samples(self):
         # a fresh interpreter, so the peak RSS is this study's alone; the
@@ -515,14 +527,7 @@ class TestBoundedMemory:
             "r1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "print((r1 - r0) / 1024.0)\n"
         )
-        src = str(Path(wicknlw.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=600,
-                             check=True)
-        growth_mb = float(out.stdout.split()[-1])
+        growth_mb = _fresh_interpreter(script)
         assert growth_mb <= 100.0, f"peak RSS grew by {growth_mb:.0f} MB"
 
     def test_chaos_page_faults_follow_the_work(self):
@@ -538,14 +543,7 @@ class TestBoundedMemory:
             "f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "print(f1 - f0)\n"
         )
-        src = str(Path(wicknlw.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=600,
-                             check=True)
-        faults = int(out.stdout.split()[-1])
+        faults = int(_fresh_interpreter(script))
         assert faults <= 25000, f"{faults} minor page faults"
 
     def test_invariance_peak_holds_one_ensemble(self):
@@ -569,57 +567,28 @@ class TestBoundedMemory:
             "assert rep.n_failed == 0\n"
             "print((r1 - r0) / 1024.0)\n"
         )
-        src = str(Path(wicknlw.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=600,
-                             check=True)
-        growth_mb = float(out.stdout.split()[-1])
+        growth_mb = _fresh_interpreter(script)
         assert growth_mb <= ensemble_mb + 25.0, (
             f"peak RSS grew by {growth_mb:.0f} MiB, ensemble "
             f"{ensemble_mb:.0f} MiB")
 
-    def test_universality_peak_holds_one_reference_stack(self):
-        # the ladder streams every run against the reference's u stack, so
-        # that stack is all it holds across records; the slack covers the
-        # force grids and the step scratch at n_ref
-        eps, t_final, dt = [1 / 8, 1 / 16, 1 / 32, 1 / 64], 0.5, 2e-3
-        n_ref = 64
-        records = record_count(t_final, dt, max(1, round(t_final / dt / 40)))
-        stack_mb = records * (2 * n_ref + 1) * (n_ref + 1) * 16 / 1e6
-        tracemalloc.start()
-        try:
-            rep = universality_experiment(NONLINEARITIES["sin"], eps, 1.0,
-                                          -0.1, t_final, dt, seed=7)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
-        assert rep.n_ref == n_ref and not any(r["failed"] for r in rep.rows)
-        assert peak_mb <= stack_mb + 12.0, (
-            f"peak {peak_mb:.1f} MB, stack of {stack_mb:.1f} MB")
-
-    def test_universality_peak_holds_three_reference_stacks(self):
-        # the benchmark ladder at a coarser dt.  What the ladder must hold at
-        # once is the reference's u stack plus the (u, v) stacks of the run
-        # in progress, all at n_ref; the slack covers the force grids and
-        # the step scratch at n_ref.  Holding v, the n_ref // 2 run or the
-        # previous rung, and full-stack differences, peaked at 46 MB.
-        eps, t_final, dt = [1 / 8, 1 / 16, 1 / 32, 1 / 64], 0.5, 2e-3
-        n_ref = 64
-        records = record_count(t_final, dt, max(1, round(t_final / dt / 40)))
-        stack_mb = records * (2 * n_ref + 1) * (n_ref + 1) * 16 / 1e6
-        tracemalloc.start()
-        try:
-            rep = universality_experiment(NONLINEARITIES["sin"], eps, 1.0,
-                                          -0.1, t_final, dt, seed=7)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
-        assert rep.n_ref == n_ref and not any(r["failed"] for r in rep.rows)
-        assert peak_mb <= 3 * stack_mb + 12.0, (
-            f"peak {peak_mb:.1f} MB, stacks of {stack_mb:.1f} MB")
+    def test_universality_peak_holds_no_record_stack(self):
+        # the runs advance in lockstep on one workspace, so the ladder
+        # holds one record per run, the workspace and the DFT tables:
+        # 9.7 MB traced, against 14.6 MB when the reference's 43 u records
+        # (5.8 MB at n_ref = 64) were kept and every run made a workspace
+        script = (
+            "import tracemalloc\n"
+            "from wicknlw import NONLINEARITIES, universality_experiment\n"
+            "tracemalloc.start()\n"
+            "rep = universality_experiment(NONLINEARITIES['sin'],\n"
+            "    [1 / 8, 1 / 16, 1 / 32, 1 / 64], 1.0, -0.1, 0.5, 2e-3, seed=7)\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "assert rep.n_ref == 64 and not any(r['failed'] for r in rep.rows)\n"
+            "print(peak / 1e6)\n"
+        )
+        peak_mb = _fresh_interpreter(script)
+        assert peak_mb <= 12.0, f"peak {peak_mb:.1f} MB"
 
 
 class TestUniversality:
@@ -635,29 +604,122 @@ class TestUniversality:
         np.testing.assert_array_equal(experiments._half_difference(a, b), want)
         np.testing.assert_array_equal(experiments._half_difference(b, a), -want)
 
-    def test_sup_distance_equals_the_batched_formula(self):
-        # streamed records against a stored stack, as the ladder compares
-        # them, bit-equal to the batched formula over the evolve stacks
-        master = sample_free_field(MuParams(6, 1.0, 4))
-        runs = {}
-        for n_cut in (6, 3):
-            u, v = (project(a, n_cut) for a in master)
-            runs[n_cut] = (u, v, DynParams(WickContext.create(n_cut, 1.0, 1),
-                                           5e-3, lam=-1 / 6))
-        a, b = (evolve(u, v, 0.1, dyn, record_every=4).u
-                for u, v, dyn in runs.values())
-        for x, n_cut, y in ((a, 3, b), (b, 6, a)):
-            want = sobolev_norm(experiments._half_difference(x, y), -0.1).max()
-            u, v, dyn = runs[n_cut]
-            streamed = (w for _, w, _ in records(u, v, 0.1, dyn, record_every=4))
-            assert experiments._sup_distance(streamed, x, -0.1) == want
-        rng = np.random.default_rng(3)
-        c = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
-        assert (experiments._sup_distance(iter(c), a, -0.1)
-                == sobolev_norm(c - a, -0.1).max())
-        for short, long in ((b[:-1], a), (b, a[:-1])):
-            with pytest.raises(ValueError, match="recording times"):
-                experiments._sup_distance(iter(short), long, -0.1)
+    # 76 steps of 3e-3 and a partial step, recorded every 2 steps; rungs
+    # at cutoffs 2, 4 and 6 = n_ref, refinement run at 3
+    LADDER = (NONLINEARITIES["sin"], [1 / 2, 1 / 4, 1 / 6], 1.0, -0.1, 0.23,
+              3e-3, 4)
+
+    def test_ladder_equals_the_batched_formula_over_evolve_stacks(self):
+        # the lockstep ladder on its shared workspace, bit-equal to the
+        # batched formula over stacks evolved one run at a time
+        f, eps_list, rho, s, t, dt, seed = self.LADDER
+        rep = universality_experiment(*self.LADDER)
+        master = sample_free_field(MuParams(6, rho, seed))
+
+        def stack(n_cut):
+            u, v, dyn = experiments._rung(master, n_cut, f, rho, dt)
+            return evolve(u, v, t, dyn, record_every=2).u
+
+        ref = stack(6)
+        assert len(ref) == record_count(t, dt, 2) == 40
+
+        def sup(x):
+            return sobolev_norm(experiments._half_difference(x, ref), s).max()
+
+        assert rep.ref_refinement_distance == sup(stack(3))
+        for row, eps in zip(rep.rows, eps_list):
+            assert not row["failed"]
+            assert row["sup_distance"] == sup(evolve_scaled(
+                eps, f, rho, t, dt, seed, record_every=2, n_master=6).u)
+
+    def test_runs_stepped_in_turn_share_one_workspace(self):
+        # two runs advanced alternately on one dict, their records kept
+        # without copies, equal the runs on workspaces of their own: no
+        # record is a workspace buffer, and no run reads one it did not
+        # write in the same step
+        f, rho, dt = NONLINEARITIES["sin"], 1.0, 3e-3
+        master = sample_free_field(MuParams(6, rho, 5))
+        (u6, v6, dyn6), (u4, v4, dyn4) = (experiments._rung(master, n, f, rho, dt)
+                                          for n in (6, 4))
+        shared = {}
+        kept = list(zip(
+            records(u6, v6, 0.05, dyn6, 2, work=shared),
+            records(u4, v4, 0.05, dyn4, 2, scaled_force_fn(f, 1 / 4, rho, shared),
+                    shared)))
+        # the N = 6 Wick grids (25^2) hold the N = 4 forcing grids (21^2)
+        assert shared["grid"].shape == (25, 25)
+        alone = (evolve(u6, v6, 0.05, dyn6, 2),
+                 evolve(u4, v4, 0.05, dyn4, 2, scaled_force_fn(f, 1 / 4, rho, {})))
+        for j, traj in enumerate(alone):
+            assert len(kept) == len(traj.times) == 10
+            for i, pair in enumerate(kept):
+                t, u, v = pair[j]
+                assert t == traj.times[i]
+                np.testing.assert_array_equal(u, traj.u[i])
+                np.testing.assert_array_equal(v, traj.v[i])
+
+    def test_a_failed_rung_leaves_every_other_row_alone(self, monkeypatch):
+        # the eps = 1/4 rung's force turns infinite at its 21st call, in
+        # its 7th of 39 segments: the rung is reported failed and not
+        # advanced, and every other run on the shared workspace reads the
+        # bits of the ladder without the fault
+        clean = universality_experiment(*self.LADDER)
+        scaled = experiments.scaled_force_fn
+        calls = []
+
+        def faulty(f, eps, rho, work=None):
+            force = scaled(f, eps, rho, work)
+            if eps != 1 / 4:
+                return force
+
+            def blown(u):
+                calls.append(eps)
+                out = force(u)
+                if len(calls) > 20:
+                    out[...] = np.inf
+                return out
+
+            return blown
+
+        monkeypatch.setattr(experiments, "scaled_force_fn", faulty)
+        with np.errstate(invalid="ignore"):
+            rep = universality_experiment(*self.LADDER)
+        assert rep.rows[1]["failed"] and math.isnan(rep.rows[1]["sup_distance"])
+        assert len(calls) == 21
+        assert rep.rows[::2] == clean.rows[::2]
+        assert rep.ref_refinement_distance == clean.ref_refinement_distance
+
+    @pytest.mark.parametrize("n_blown", [6, 3], ids=["reference", "refinement"])
+    def test_a_failed_reference_or_refinement_run_raises(self, monkeypatch,
+                                                          n_blown):
+        # data scaled by 1e110 overflow the cubic in the first kick
+        rung = experiments._rung
+
+        def blown(master, n_cut, *rest):
+            u, v, dyn = rung(master, n_cut, *rest)
+            return (u * 1e110 if n_cut == n_blown else u), v, dyn
+
+        monkeypatch.setattr(experiments, "_rung", blown)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationError):
+            universality_experiment(*self.LADDER)
+
+    def test_the_reference_failure_is_the_one_raised(self, monkeypatch):
+        # as when the reference ran first and alone: a refinement run that
+        # fails at an earlier record does not mask the reference's failure
+        real = experiments.records
+
+        def failing(u, v, t_final, dyn, every, force, work):
+            fail_at = None if force is not None else {6: 3, 3: 1}[dyn.ctx.n_max]
+            for i, rec in enumerate(real(u, v, t_final, dyn, every, force, work)):
+                if i == fail_at:
+                    raise IntegrationError(rec[0])
+                yield rec
+
+        monkeypatch.setattr(experiments, "records", failing)
+        with pytest.raises(IntegrationError) as err:
+            universality_experiment(*self.LADDER)
+        assert err.value.time == pytest.approx(3 * 2 * 3e-3)
 
     def test_ladder_runs_and_reports(self):
         rep = universality_experiment(NONLINEARITIES["sin"], [1 / 2, 1 / 4],
